@@ -22,13 +22,10 @@
 #include <vector>
 
 #include "baselines/crowd_bt.h"
-#include "baselines/heap_sort.h"
 #include "baselines/hybrid.h"
 #include "baselines/pbr.h"
-#include "baselines/quick_select.h"
-#include "baselines/tournament_tree.h"
+#include "baselines/registry.h"
 #include "core/infimum.h"
-#include "core/spr.h"
 #include "crowd/platform.h"
 #include "data/generators.h"
 #include "data/io.h"
@@ -81,23 +78,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
 
 // ------------------------------------------------------- method registry
 
+// The serving registry's four methods plus the offline-only baselines.
 std::unique_ptr<core::TopKAlgorithm> MakeMethod(
     const std::string& name, const judgment::ComparisonOptions& comparison,
     int64_t reference_budget) {
-  if (name == "spr") {
-    core::SprOptions options;
-    options.comparison = comparison;
-    return std::make_unique<core::Spr>(options);
-  }
-  if (name == "tourtree") {
-    return std::make_unique<baselines::TournamentTree>(comparison);
-  }
-  if (name == "heapsort") {
-    return std::make_unique<baselines::HeapSortTopK>(comparison);
-  }
-  if (name == "quickselect") {
-    return std::make_unique<baselines::QuickSelectTopK>(comparison);
-  }
   if (name == "pbr") {
     return std::make_unique<baselines::PbrTopK>(comparison);
   }
@@ -116,7 +100,7 @@ std::unique_ptr<core::TopKAlgorithm> MakeMethod(
     options.spr.comparison = comparison;
     return std::make_unique<baselines::HybridSpr>(options);
   }
-  return nullptr;
+  return baselines::MakeAlgorithm(name, comparison);
 }
 
 int Fail(const char* message) {
@@ -159,12 +143,8 @@ int main(int argc, char** argv) {
     if (!loaded.ok()) return Fail(loaded.status().ToString().c_str());
     dataset = std::move(*loaded);
   } else {
-    const std::string name = flags.Get("dataset", "imdb");
-    if (name != "imdb" && name != "book" && name != "jester" &&
-        name != "photo" && name != "peopleage") {
-      return Fail("unknown --dataset");
-    }
-    dataset = data::MakeByName(name, seed);
+    dataset = data::MakeByName(flags.Get("dataset", "imdb"), seed);
+    if (dataset == nullptr) return Fail("unknown --dataset");
   }
 
   // Optional random subset.

@@ -239,7 +239,6 @@ std::unique_ptr<Dataset> MakeByName(const std::string& name, uint64_t seed) {
   if (name == "jester") return MakeJesterLike(seed);
   if (name == "photo") return MakePhotoLike(seed);
   if (name == "peopleage") return MakePeopleAgeLike(seed);
-  CROWDTOPK_CHECK(false);
   return nullptr;
 }
 

@@ -40,7 +40,7 @@ std::unique_ptr<GaussianDataset> MakeUniformLadder(int64_t n, double gap,
                                                    double noise_stddev);
 
 // Builds the dataset named by `name` ("imdb", "book", "jester", "photo",
-// "peopleage"); CHECK-fails on unknown names.
+// "peopleage"); nullptr for any other name.
 std::unique_ptr<Dataset> MakeByName(const std::string& name, uint64_t seed);
 
 }  // namespace crowdtopk::data

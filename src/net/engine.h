@@ -4,13 +4,11 @@
 // loop) owns sockets, framing, handshakes, backpressure, and drain
 // sequencing; the *engine* owns query execution. This interface is the
 // seam between them: the front-end validates and forwards submissions,
-// the engine answers with Completions it posts back for delivery. Two
-// implementations exist —
-//
-//   net::BatchEngine   (server.cc)  one serve::QueryService per batch,
-//                                   single-process execution;
-//   shard::RouterEngine (src/shard) scatter across K engine shards with
-//                                   failover and cross-shard cache sync.
+// the engine answers with Completions it posts back for delivery. The
+// implementation is shard::RouterEngine (src/shard): scatter across K
+// engine shards with failover and cross-shard cache sync, K = 1 for a
+// single-process server. The interface keeps net free of a dependency on
+// shard, and lets tests and benchmarks wrap the engine.
 //
 // Threading contract: Submit/State/Cancel/BeginDrain/AbortQueued/
 // TakeCompletions/Drained are called on the network thread; the engine

@@ -38,8 +38,8 @@ namespace crowdtopk::net {
 // "TK4NET01", little-endian, same naming scheme as the persist magics.
 inline constexpr uint64_t kNetMagic = 0x313054454e344b54ULL;
 // v2: Result carries shard_id; StatsReply carries upstream retry/redial
-// counters (both zero when the answering process is a plain single-engine
-// server). v1 peers are refused at the handshake.
+// counters (both zero when the answering process runs one in-process
+// shard). v1 peers are refused at the handshake.
 inline constexpr uint32_t kProtocolVersion = 2;
 
 // Upper bound on a frame payload. Results carry at most k item ids, so
@@ -105,12 +105,10 @@ struct SubmitQuery {
   double alpha = 0.02;
   // Per-pair microtask budget B; <= 0 keeps the server default.
   int64_t budget = 0;
-  // Seed-stream override (serve::QueryRequest::seed_stream): < 0 (the
-  // default) keys the query's judgment/latency streams off its local slot
-  // in the executing batch; a router stamps the global query id here so
-  // the outcome is the same on whichever shard runs it. A batch made up
-  // entirely of stamped queries also runs under the server's constant
-  // master seed instead of the per-batch split, for the same reason.
+  // Seed-stream stamp (serve::QueryRequest::seed_stream): < 0 (the
+  // default) keys the query's judgment/latency streams off the query id
+  // the server assigns; a front router stamps its global query id here so
+  // the outcome is the same on whichever remote shard runs it.
   int64_t seed_stream = -1;
 };
 
@@ -141,8 +139,7 @@ struct Result {
   int64_t rounds = 0;
   double latency_seconds = 0.0;
   double queue_wait_seconds = 0.0;
-  // Shard that executed the query: 0 for a plain single-engine server,
-  // the routed shard's id under a crowdtopk_router front-end.
+  // Shard that executed the query: 0 at K = 1, else the routed shard's id.
   int64_t shard_id = 0;
 };
 
@@ -177,7 +174,7 @@ struct StatsReply {
   int64_t batches = 0;
   // Upstream client traffic (net::Client retry/redial counters): nonzero
   // only when the answering process itself dials other servers — a router
-  // fronting remote shards. A plain server reports zero.
+  // fronting remote shards.
   int64_t client_retries = 0;
   int64_t client_redials = 0;
 };

@@ -9,36 +9,19 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <set>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "baselines/heap_sort.h"
-#include "baselines/quick_select.h"
-#include "baselines/tournament_tree.h"
-#include "core/spr.h"
+#include "baselines/registry.h"
 #include "data/generators.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
-#include "util/check.h"
-#include "util/crc32.h"
-#include "util/random.h"
 
 namespace crowdtopk::net {
 namespace {
-
-// Salt separating per-batch seeds from every other stream split off the
-// server's master seed.
-constexpr uint64_t kBatchStream = 0x6e657462ULL;  // "netb"
 
 // Backpressure watermarks on a connection's write buffer: past kWriteHigh
 // the connection stops being read until the buffer drains; past kWriteMax
@@ -46,378 +29,11 @@ constexpr uint64_t kBatchStream = 0x6e657462ULL;  // "netb"
 constexpr size_t kWriteHigh = 1u << 20;
 constexpr size_t kWriteMax = 8u << 20;
 
-// Submission sanity bounds; a request outside them gets INVALID_ARGUMENT.
-constexpr int64_t kMaxK = 10000;
-constexpr int64_t kMaxBudget = int64_t{1} << 30;
-
 }  // namespace
 
-DatasetFactory DefaultDatasetFactory() {
-  return [](const std::string& name,
-            uint64_t seed) -> std::unique_ptr<data::Dataset> {
-    // MakeByName CHECK-fails on unknown names; gate it so a bad request is
-    // a client error, not a server crash.
-    if (name != "imdb" && name != "book" && name != "jester" &&
-        name != "photo" && name != "peopleage") {
-      return nullptr;
-    }
-    return data::MakeByName(name, seed);
-  };
-}
+DatasetFactory DefaultDatasetFactory() { return data::MakeByName; }
 
-AlgorithmFactory DefaultAlgorithmFactory() {
-  return [](const std::string& name, const judgment::ComparisonOptions&
-                options) -> std::unique_ptr<core::TopKAlgorithm> {
-    if (name == "spr") {
-      core::SprOptions spr_options;
-      spr_options.comparison = options;
-      return std::make_unique<core::Spr>(spr_options);
-    }
-    if (name == "tourtree") {
-      return std::make_unique<baselines::TournamentTree>(options);
-    }
-    if (name == "heapsort") {
-      return std::make_unique<baselines::HeapSortTopK>(options);
-    }
-    if (name == "quickselect") {
-      return std::make_unique<baselines::QuickSelectTopK>(options);
-    }
-    return nullptr;
-  };
-}
-
-ErrorCode MapRejectReason(serve::RejectReason reason) {
-  switch (reason) {
-    case serve::RejectReason::kQueueFull:
-      return ErrorCode::kQueueFull;
-    case serve::RejectReason::kNone:
-      break;
-  }
-  return ErrorCode::kInternal;
-}
-
-// ----- BatchEngine --------------------------------------------------------
-
-// Owns query execution: accepted submissions queue FIFO, the engine thread
-// drains the queue into a batch, replays it through one
-// serve::QueryService, and posts completions back for the network thread
-// to deliver. See the architecture note in server.h. The default
-// net::Engine implementation; src/shard swaps in a multi-shard router
-// through ServerOptions::engine_factory.
-class BatchEngine : public Engine {
- public:
-  BatchEngine(const ServerOptions& options, std::function<void()> wake)
-      : options_(options),
-        dataset_factory_(options.dataset_factory ? options.dataset_factory
-                                                 : DefaultDatasetFactory()),
-        algorithm_factory_(options.algorithm_factory
-                               ? options.algorithm_factory
-                               : DefaultAlgorithmFactory()),
-        wake_(std::move(wake)),
-        thread_([this] { ThreadMain(); }) {}
-
-  ~BatchEngine() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  // Validates and queues one submission; returns the assigned query id.
-  // Called on the network thread.
-  util::StatusOr<int64_t> Submit(int64_t conn_id,
-                                 const SubmitQuery& spec) override {
-    if (spec.k < 1 || spec.k > kMaxK) {
-      return util::Status::InvalidArgument("k out of range");
-    }
-    if (!(spec.alpha > 0.0 && spec.alpha < 1.0)) {
-      return util::Status::InvalidArgument("alpha must be in (0, 1)");
-    }
-    if (spec.budget < 0 || spec.budget > kMaxBudget) {
-      return util::Status::InvalidArgument("budget out of range");
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      return util::Status::Unavailable("server is draining");
-    }
-    if (options_.max_queue >= 0 &&
-        static_cast<int64_t>(queue_.size()) >= options_.max_queue) {
-      return util::Status::ResourceExhausted("admission queue full");
-    }
-    const data::Dataset* dataset = ResolveDatasetLocked(spec.dataset);
-    if (dataset == nullptr) {
-      return util::Status::InvalidArgument("unknown dataset '" +
-                                           spec.dataset + "'");
-    }
-    core::TopKAlgorithm* algorithm = ResolveAlgorithmLocked(spec);
-    if (algorithm == nullptr) {
-      return util::Status::InvalidArgument("unknown algorithm '" +
-                                           spec.algo + "'");
-    }
-    const int64_t id = next_query_id_++;
-    Record& record = records_[id];
-    record.conn_id = conn_id;
-    record.k = spec.k;
-    record.seed_stream = spec.seed_stream;
-    record.dataset = dataset;
-    record.algorithm = algorithm;
-    record.state = QueryState::kQueued;
-    queue_.push_back(id);
-    cv_.notify_all();
-    return id;
-  }
-
-  QueryState State(int64_t query_id) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = records_.find(query_id);
-    if (it != records_.end()) return it->second.state;
-    return done_.count(query_id) ? QueryState::kDone : QueryState::kUnknown;
-  }
-
-  // Removes a still-queued query. On success fills the submitter's conn id
-  // so the server can clear its pending bookkeeping.
-  bool Cancel(int64_t query_id, int64_t* submitter_conn) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = records_.find(query_id);
-    if (it == records_.end() || it->second.state != QueryState::kQueued) {
-      return false;
-    }
-    *submitter_conn = it->second.conn_id;
-    queue_.erase(std::find(queue_.begin(), queue_.end(), query_id));
-    records_.erase(it);
-    return true;
-  }
-
-  // Stops accepting work and lets the queue run dry. Submissions are
-  // refused by the server before they reach Submit, but the engine refuses
-  // too, in case of races.
-  void BeginDrain() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-    cv_.notify_all();
-  }
-
-  // Drain-deadline path: reject everything still waiting for a batch. The
-  // batch in flight (if any) always completes.
-  void AbortQueued() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int64_t id : queue_) {
-      Completion c;
-      c.conn_id = records_[id].conn_id;
-      c.query_id = id;
-      c.send_error = true;
-      c.error_code = ErrorCode::kUnavailable;
-      c.error_message = "drain timeout";
-      completions_.push_back(std::move(c));
-      records_.erase(id);
-    }
-    queue_.clear();
-    cv_.notify_all();
-  }
-
-  std::vector<Completion> TakeCompletions() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Completion> taken = std::move(completions_);
-    completions_.clear();
-    return taken;
-  }
-
-  // True once a drain has consumed everything: no queued or running
-  // queries remain and no completions await delivery.
-  bool Drained() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return draining_ && queue_.empty() && !running_ && completions_.empty();
-  }
-
-  int64_t queued() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(queue_.size());
-  }
-
-  int64_t batches() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return batches_;
-  }
-
- private:
-  struct Record {
-    int64_t conn_id = 0;
-    int64_t k = 10;
-    int64_t seed_stream = -1;
-    const data::Dataset* dataset = nullptr;
-    core::TopKAlgorithm* algorithm = nullptr;
-    QueryState state = QueryState::kQueued;
-  };
-
-  const data::Dataset* ResolveDatasetLocked(const std::string& name) {
-    const auto it = datasets_.find(name);
-    if (it != datasets_.end()) return it->second.get();
-    // Per-name seed stream: dataset content is a pure function of the
-    // server's master seed and the name, never of request order.
-    std::unique_ptr<data::Dataset> dataset =
-        dataset_factory_(name, util::SplitSeed(options_.seed,
-                                               util::Fnv1a64(name)));
-    if (dataset == nullptr) return nullptr;
-    return datasets_.emplace(name, std::move(dataset)).first->second.get();
-  }
-
-  core::TopKAlgorithm* ResolveAlgorithmLocked(const SubmitQuery& spec) {
-    judgment::ComparisonOptions comparison;
-    comparison.alpha = spec.alpha;
-    if (spec.budget > 0) comparison.budget = spec.budget;
-    uint64_t alpha_bits;
-    std::memcpy(&alpha_bits, &comparison.alpha, sizeof(alpha_bits));
-    const std::string key = spec.algo + "|" + std::to_string(alpha_bits) +
-                            "|" + std::to_string(comparison.budget);
-    const auto it = algorithms_.find(key);
-    if (it != algorithms_.end()) return it->second.get();
-    std::unique_ptr<core::TopKAlgorithm> algorithm =
-        algorithm_factory_(spec.algo, comparison);
-    if (algorithm == nullptr) return nullptr;
-    CROWDTOPK_CHECK(algorithm->concurrent_runs_safe());
-    return algorithms_.emplace(key, std::move(algorithm))
-        .first->second.get();
-  }
-
-  void ThreadMain() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock,
-               [this] { return stop_ || draining_ || !queue_.empty(); });
-      if (stop_) return;
-      if (queue_.empty()) {
-        if (draining_) {
-          // Nothing left to run; tell the network thread to re-check its
-          // drain-completion condition.
-          lock.unlock();
-          wake_();
-          lock.lock();
-          cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-          if (stop_) return;
-        }
-        continue;
-      }
-
-      // Drain the queue into one batch, submission order preserved.
-      const std::vector<int64_t> ids(queue_.begin(), queue_.end());
-      queue_.clear();
-      std::vector<serve::QueryRequest> requests(ids.size());
-      std::vector<int64_t> conn_ids(ids.size());
-      bool all_stamped = true;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        Record& record = records_[ids[i]];
-        record.state = QueryState::kRunning;
-        requests[i].algorithm = record.algorithm;
-        requests[i].dataset = record.dataset;
-        requests[i].k = record.k;
-        requests[i].seed_stream = record.seed_stream;
-        if (record.seed_stream < 0) all_stamped = false;
-        conn_ids[i] = record.conn_id;
-      }
-      const int64_t batch_index = batches_;
-      running_ = true;
-      std::vector<cache::ExportedEntry> warm = std::move(warm_cache_);
-      warm_cache_.clear();
-      lock.unlock();
-
-      // Everything in the batch arrives "now": queueing delay inside the
-      // batch is pure shared-capacity contention, and the whole replay is
-      // a deterministic function of (options, batch seed, requests).
-      serve::ServeOptions serve_options;
-      serve_options.schedule = options_.schedule;
-      serve_options.max_inflight = options_.max_inflight;
-      serve_options.max_queue = options_.max_queue;
-      serve_options.jobs = options_.jobs;
-      // Router-stamped batches run under the constant master seed: every
-      // stream is then keyed by the stamped global id, so the outcome does
-      // not depend on which batch (or shard) the query landed in. Unstamped
-      // batches keep the classic per-batch split.
-      serve_options.seed =
-          all_stamped && !ids.empty()
-              ? options_.seed
-              : util::SplitSeed(options_.seed, kBatchStream + batch_index);
-      serve_options.cache = options_.cache;
-      serve_options.warm_cache = std::move(warm);
-      serve::QueryService service(serve_options);
-      const std::vector<double> arrivals(requests.size(), 0.0);
-      const std::vector<serve::QueryOutcome> outcomes =
-          service.Replay(requests, arrivals);
-      std::vector<cache::ExportedEntry> exported = service.ExportCache();
-
-      lock.lock();
-      warm_cache_ = std::move(exported);
-      running_ = false;
-      ++batches_;
-      for (size_t i = 0; i < outcomes.size(); ++i) {
-        const serve::QueryOutcome& o = outcomes[i];
-        const int64_t id = ids[i];
-        Completion c;
-        c.conn_id = conn_ids[i];
-        c.query_id = id;
-        if (o.rejected) {
-          // The serve layer's machine-readable reason maps straight onto
-          // the wire taxonomy — no string-matching on status messages.
-          c.send_error = true;
-          c.error_code = MapRejectReason(o.reject_reason);
-          c.error_message = o.status.message();
-        } else {
-          Result& r = c.result;
-          r.query_id = id;
-          r.status_code = static_cast<uint32_t>(o.status.code());
-          r.reject_reason = static_cast<uint8_t>(o.reject_reason);
-          r.message = o.status.ok() ? "" : o.status.message();
-          r.items.assign(o.items.begin(), o.items.end());
-          r.precision_at_k = o.precision_at_k;
-          r.total_microtasks = o.total_microtasks;
-          r.rounds = o.rounds_observed;
-          r.latency_seconds = o.latency_seconds;
-          r.queue_wait_seconds = o.start_seconds - o.arrival_seconds;
-        }
-        completions_.push_back(std::move(c));
-        records_.erase(id);
-        RememberDoneLocked(id);
-      }
-      lock.unlock();
-      wake_();
-      lock.lock();
-    }
-  }
-
-  void RememberDoneLocked(int64_t id) {
-    done_.insert(id);
-    done_order_.push_back(id);
-    while (done_order_.size() > 4096) {
-      done_.erase(done_order_.front());
-      done_order_.pop_front();
-    }
-  }
-
-  const ServerOptions options_;
-  const DatasetFactory dataset_factory_;
-  const AlgorithmFactory algorithm_factory_;
-  const std::function<void()> wake_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool draining_ = false;
-  bool running_ = false;
-  int64_t next_query_id_ = 0;
-  int64_t batches_ = 0;
-  std::deque<int64_t> queue_;
-  std::unordered_map<int64_t, Record> records_;
-  std::unordered_set<int64_t> done_;
-  std::deque<int64_t> done_order_;
-  std::vector<Completion> completions_;
-  std::vector<cache::ExportedEntry> warm_cache_;
-  std::unordered_map<std::string, std::unique_ptr<data::Dataset>> datasets_;
-  std::unordered_map<std::string, std::unique_ptr<core::TopKAlgorithm>>
-      algorithms_;
-
-  std::thread thread_;  // last: joins in ~BatchEngine before members die
-};
+AlgorithmFactory DefaultAlgorithmFactory() { return baselines::MakeAlgorithm; }
 
 // ----- Server::Impl -------------------------------------------------------
 
@@ -456,6 +72,10 @@ class Server::Impl {
   }
 
   util::Status Start(int* bound_port) {
+    if (options_.engine_factory == nullptr) {
+      return util::Status::InvalidArgument(
+          "ServerOptions::engine_factory is required");
+    }
     if (::pipe(wake_pipe_) != 0) {
       return util::Status::Internal("pipe: " +
                                     std::string(std::strerror(errno)));
@@ -494,9 +114,7 @@ class Server::Impl {
       const char byte = 1;
       [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
     };
-    engine_ = options_.engine_factory != nullptr
-                  ? options_.engine_factory(options_, std::move(wake))
-                  : std::make_unique<BatchEngine>(options_, std::move(wake));
+    engine_ = options_.engine_factory(options_, std::move(wake));
     return util::Status::Ok();
   }
 
@@ -895,6 +513,10 @@ class Server::Impl {
 
   // False on a fatal send error.
   bool FlushWrites(Connection* conn) {
+    // Read before the bytes leave: the peer may act on them (advance a
+    // simulated clock, say) before this thread runs again, and the
+    // activity stamp must not postdate that.
+    const int64_t now = NowMs();
     while (conn->woff < conn->wbuf.size()) {
       const ssize_t n =
           ::send(conn->fd, conn->wbuf.data() + conn->woff,
@@ -903,7 +525,7 @@ class Server::Impl {
         conn->woff += static_cast<size_t>(n);
         conn->bytes_out += n;
         bytes_out_.fetch_add(n, std::memory_order_relaxed);
-        conn->last_activity_ms = NowMs();
+        conn->last_activity_ms = now;
         continue;
       }
       return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;

@@ -1,7 +1,7 @@
-// TCP front-end exposing serve::QueryService to remote clients.
+// TCP front-end exposing the serving layer to remote clients.
 //
-// Architecture (docs/NETWORK.md): two threads plus whatever the serving
-// layer spawns internally.
+// Architecture (docs/NETWORK.md): the network thread plus whatever the
+// engine spawns.
 //
 //   network thread — the caller of Serve(). A poll(2) event loop over the
 //   listening socket, a self-pipe (drain wakeups from signal handlers and
@@ -14,17 +14,9 @@
 //   connection table is full, a new connection is greeted with an
 //   UNAVAILABLE error frame and closed.
 //
-//   engine thread — owns the actual query execution. Accepted submissions
-//   queue FIFO; the engine drains the queue into a batch and replays it
-//   through one serve::QueryService (arrivals all zero, shared crowd
-//   capacity, per-query algorithm/alpha/budget), so queries that arrive
-//   together share worker slots and — when the cache is enabled — reuse
-//   each other's judgments. Batch b runs under seed SplitSeed(seed, b) and
-//   inherits the previous batch's committed cache entries through
-//   QueryService::ExportCache -> warm_cache, the same cross-generation
-//   path a --warm restart uses. With a single blocking client the batch
-//   sequence (and thus every outcome) is a pure function of the seed,
-//   which is what makes the loadgen report byte-reproducible.
+//   engine — owns query execution (net/engine.h), built by the required
+//   ServerOptions::engine_factory. crowdtopk_router injects
+//   shard::RouterEngine, whose K = 1 default is the single-process server.
 //
 // Graceful drain: RequestDrain() is async-signal-safe (an atomic store and
 // a self-pipe write), so a SIGTERM handler may call it directly. Draining
@@ -50,7 +42,6 @@
 #include "net/engine.h"
 #include "net/protocol.h"
 #include "serve/batch_scheduler.h"
-#include "serve/query_service.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -67,20 +58,16 @@ using DatasetFactory = std::function<std::unique_ptr<data::Dataset>(
 using AlgorithmFactory = std::function<std::unique_ptr<core::TopKAlgorithm>(
     const std::string& name, const judgment::ComparisonOptions& options)>;
 
-// The built-in factories the CLI uses: the five paper datasets by name,
-// and spr / tourtree / heapsort / quickselect.
+// What a null ServerOptions factory falls back to: data::MakeByName and
+// baselines::MakeAlgorithm.
 DatasetFactory DefaultDatasetFactory();
 AlgorithmFactory DefaultAlgorithmFactory();
-
-// Maps a serve-layer admission rejection onto the wire error taxonomy —
-// the machine-readable path that replaces string-matching the status.
-ErrorCode MapRejectReason(serve::RejectReason reason);
 
 struct ServerOptions;
 
 // Builds the engine the front-end drives (net/engine.h). `wake` must be
 // called after posting completions so the poll loop picks them up; it is
-// async-safe (a self-pipe write). Null picks the built-in BatchEngine.
+// async-safe (a self-pipe write).
 using EngineFactory = std::function<std::unique_ptr<Engine>(
     const ServerOptions& options, std::function<void()> wake)>;
 
@@ -97,16 +84,16 @@ struct ServerOptions {
   // Drain budget: queries still queued (not yet batched) past it are
   // rejected instead of executed.
   int64_t drain_timeout_ms = 30000;
-  // Admission bound across engine queue + in-flight batch; arrivals past
-  // it are refused with a QUEUE_FULL error frame. < 0 = unbounded.
+  // Admission bound on the engine queue; arrivals past it are refused
+  // with a QUEUE_FULL error frame. < 0 = unbounded.
   int64_t max_queue = 256;
 
-  // Engine: one serve::QueryService per batch, built from these.
+  // Engine: the serve::QueryService settings each batch runs under.
   uint64_t seed = 20170514;
   serve::ScheduleOptions schedule;
   int64_t max_inflight = 16;
   int64_t jobs = 1;
-  // Shared judgment cache; committed entries chain across batches.
+  // Judgment cache; committed entries chain across batches.
   cache::CacheOptions cache;
 
   // Non-empty: write net/* telemetry counters (per connection and
@@ -123,9 +110,8 @@ struct ServerOptions {
   // Test injection points; null picks the defaults above.
   DatasetFactory dataset_factory;
   AlgorithmFactory algorithm_factory;
-  // Execution engine behind the front-end; null = the single-process
-  // BatchEngine. crowdtopk_router injects shard::RouterEngine here and
-  // reuses the whole socket/drain front-end unchanged.
+  // Execution engine behind the front-end; required (Start fails without
+  // one). crowdtopk_router injects shard::RouterEngine.
   EngineFactory engine_factory;
 };
 
@@ -137,7 +123,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds 127.0.0.1:port, starts listening, and spawns the engine thread.
+  // Binds 127.0.0.1:port, starts listening, and builds the engine.
+  // InvalidArgument when options.engine_factory is null.
   util::Status Start();
 
   // Port actually bound (meaningful after Start; equals options.port

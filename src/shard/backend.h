@@ -8,7 +8,7 @@
 //     process" deployment, and the only one the deterministic simulation
 //     drives.
 //   * RemoteShardBackend (remote_backend.h): a net::Client against a
-//     crowdtopk_serve process — the scale-out deployment.
+//     crowdtopk_router process — the scale-out deployment.
 //
 // Failure model: RunBatch either returns an outcome for every query of
 // the sub-batch, or a non-OK status meaning the *shard* failed (process

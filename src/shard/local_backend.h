@@ -1,12 +1,10 @@
 // LocalShardBackend: an in-process engine shard.
 //
-// Executes each sub-batch through a fresh serve::QueryService — the same
-// engine-per-batch construction net's BatchEngine uses — under the
+// Executes each sub-batch through a fresh serve::QueryService under the
 // *constant* master seed, with every request stamped with its global
 // query id (backend.h). The shard's judgment cache chains batch-to-batch
-// through warm_cache exports, exactly like a single server's; under
-// router cache_sync the router replaces that warm set with the merged
-// cross-shard export between batches.
+// through warm_cache exports; under router cache_sync the router replaces
+// that warm set with the merged cross-shard export between batches.
 //
 // Deterministic failure injection: with fail_at_batch >= 1 the shard
 // "dies" at the start of its fail_at_batch-th RunBatch (1-based), loses

@@ -16,8 +16,7 @@
 namespace crowdtopk::shard {
 namespace {
 
-// Same submission sanity bounds as the plain server's BatchEngine, so a
-// router front-end refuses exactly what a single server would.
+// Submission sanity bounds; a request outside them gets INVALID_ARGUMENT.
 constexpr int64_t kMaxK = 10000;
 constexpr int64_t kMaxBudget = int64_t{1} << 30;
 
@@ -88,9 +87,9 @@ const data::Dataset* RouterEngine::ResolveDatasetLocked(
     *universe = universes_[name];
     return it->second.get();
   }
-  // Per-name seed stream, identical to the single server's rule: dataset
-  // content is a pure function of (master seed, name) — and therefore the
-  // same on a router and on a plain crowdtopk_serve with the same seed.
+  // Per-name seed stream: dataset content is a pure function of (master
+  // seed, name) — and therefore the same on a front router and on every
+  // remote shard started with the same seed.
   std::unique_ptr<data::Dataset> dataset = dataset_factory_(
       name, util::SplitSeed(options_.seed, util::Fnv1a64(name)));
   if (dataset == nullptr) return nullptr;
@@ -115,7 +114,7 @@ core::TopKAlgorithm* RouterEngine::ResolveAlgorithmLocked(
       algorithm_factory_(spec.algo, comparison);
   if (algorithm == nullptr) return nullptr;
   // Shared across every shard's concurrent sub-batches, so the instance
-  // must tolerate concurrent runs — same contract as BatchEngine.
+  // must tolerate concurrent runs.
   CROWDTOPK_CHECK(algorithm->concurrent_runs_safe());
   return algorithms_.emplace(key, std::move(algorithm)).first->second.get();
 }
@@ -167,10 +166,10 @@ util::StatusOr<int64_t> RouterEngine::Submit(int64_t conn_id,
     query.dataset_ptr = dataset;
     query.algorithm = algorithm;
   }
-  // The global id doubles as the wire query id and as the seed-stream
-  // stamp: the id the client sees is the id that keys the outcome.
+  // A client's stamp keys the outcome when present (this router is a
+  // remote shard of another); otherwise the wire id does.
   const int64_t id = next_query_id_++;
-  query.global_id = id;
+  query.global_id = spec.seed_stream >= 0 ? spec.seed_stream : id;
   Record& record = records_[id];
   record.conn_id = conn_id;
   record.query = std::move(query);
@@ -184,8 +183,8 @@ net::QueryState RouterEngine::State(int64_t query_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = records_.find(query_id);
   if (it != records_.end()) return it->second.state;
-  return done_.count(query_id) ? net::QueryState::kDone
-                               : net::QueryState::kUnknown;
+  return done_ids_.count(query_id) ? net::QueryState::kDone
+                                   : net::QueryState::kUnknown;
 }
 
 bool RouterEngine::Cancel(int64_t query_id, int64_t* submitter_conn) {
@@ -259,7 +258,10 @@ int64_t RouterEngine::upstream_redials() const {
 
 std::string RouterEngine::MergedReport() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return RenderMergedReport(*router_, outcomes_);
+  std::vector<RoutedOutcome> outcomes;
+  outcomes.reserve(done_.size());
+  for (const Done& done : done_) outcomes.push_back(done.outcome);
+  return RenderMergedReport(*router_, outcomes);
 }
 
 RouterCounters RouterEngine::counters() const {
@@ -359,8 +361,7 @@ void RouterEngine::ThreadMain() {
       r.shard_id = o.shard_id;
       completions_.push_back(std::move(c));
       records_.erase(id);
-      RememberDoneLocked(id);
-      outcomes_.push_back(o);
+      RememberDoneLocked(id, o);
     }
     lock.unlock();
     wake_();
@@ -368,12 +369,13 @@ void RouterEngine::ThreadMain() {
   }
 }
 
-void RouterEngine::RememberDoneLocked(int64_t id) {
-  done_.insert(id);
-  done_order_.push_back(id);
-  while (done_order_.size() > 4096) {
-    done_.erase(done_order_.front());
-    done_order_.pop_front();
+void RouterEngine::RememberDoneLocked(int64_t id,
+                                      const RoutedOutcome& outcome) {
+  done_ids_.insert(id);
+  done_.push_back(Done{id, outcome});
+  while (done_.size() > kRemembered) {
+    done_ids_.erase(done_.front().query_id);
+    done_.pop_front();
   }
 }
 

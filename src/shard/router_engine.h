@@ -1,17 +1,17 @@
-// RouterEngine: the shard router as a net::Engine.
+// RouterEngine: the shard router as a net::Engine — the only one.
 //
-// crowdtopk_router injects this through ServerOptions::engine_factory, so
-// the entire socket front-end — handshake, admission, backpressure,
-// graceful drain — is the plain server's, unchanged; only query execution
-// differs. Accepted submissions queue FIFO exactly like BatchEngine's;
-// the engine thread drains the queue into one batch, stamps each query
-// with its global id, and hands the batch to the ShardRouter, which
-// scatters it over K shards and runs the failover waves (router.h).
+// crowdtopk_router injects this through ServerOptions::engine_factory
+// behind net::Server's socket front-end (handshake, admission,
+// backpressure, graceful drain). Accepted submissions queue FIFO; the
+// engine thread drains the queue into one batch and hands it to the
+// ShardRouter, which scatters it over K shards and runs the failover
+// waves (router.h). At K = 1 this is the single-process network server.
 //
-// Global ids are assigned at submission, monotonically, and double as the
-// wire query ids — so the id a client sees is the id that keys the
-// query's judgment/latency streams, and the merged table (shard/report.h)
-// can be byte-diffed across shard counts.
+// Every query carries a global id that keys its judgment/latency streams:
+// the client's SubmitQuery::seed_stream stamp when it is >= 0 (a front
+// router dialing this process as a remote shard), else the wire query id
+// assigned here at submission, monotonically. Either way the merged table
+// (shard/report.h) can be byte-diffed across shard counts.
 //
 // Deployment: with `ports` empty the engine spawns `shards` in-process
 // LocalShardBackends (dataset/algorithm instances resolved once, shared
@@ -43,7 +43,7 @@ namespace crowdtopk::shard {
 struct RouterEngineConfig {
   // In-process shard count; ignored when `ports` is non-empty.
   int64_t shards = 1;
-  // Remote deployment: one crowdtopk_serve endpoint per shard on
+  // Remote deployment: one crowdtopk_router endpoint per shard on
   // 127.0.0.1. Empty = in-process shards.
   std::vector<int64_t> ports;
   Policy policy = Policy::kRendezvous;
@@ -77,9 +77,10 @@ class RouterEngine : public net::Engine {
   int64_t upstream_retries() const override;
   int64_t upstream_redials() const override;
 
-  // Merged report over every routed query so far (shard/report.h). Call
-  // after the drain completes; the CLI writes it on exit and the smoke
-  // script byte-diffs it across runs and shard counts.
+  // Merged report (shard/report.h): cumulative counters, and a table of
+  // the last 4096 routed queries. Call after the drain completes;
+  // the CLI writes it on exit and the smoke script byte-diffs it across
+  // runs and shard counts.
   std::string MergedReport() const;
   RouterCounters counters() const;
 
@@ -88,10 +89,19 @@ class RouterEngine : public net::Engine {
   void DumpTrace() const;
 
  private:
+  // Finished queries kept for State() and MergedReport(); older ones are
+  // forgotten, so memory stays bounded however long the process serves.
+  static constexpr size_t kRemembered = 4096;
+
   struct Record {
     int64_t conn_id = 0;
     RoutedQuery query;
     net::QueryState state = net::QueryState::kQueued;
+  };
+
+  struct Done {
+    int64_t query_id = 0;  // wire id
+    RoutedOutcome outcome;
   };
 
   void ThreadMain();
@@ -100,7 +110,7 @@ class RouterEngine : public net::Engine {
   const data::Dataset* ResolveDatasetLocked(const std::string& name,
                                             int64_t* universe);
   core::TopKAlgorithm* ResolveAlgorithmLocked(const net::SubmitQuery& spec);
-  void RememberDoneLocked(int64_t id);
+  void RememberDoneLocked(int64_t id, const RoutedOutcome& outcome);
 
   const net::ServerOptions options_;
   const RouterEngineConfig config_;
@@ -122,10 +132,9 @@ class RouterEngine : public net::Engine {
   int64_t batches_ = 0;
   std::deque<int64_t> queue_;
   std::unordered_map<int64_t, Record> records_;
-  std::unordered_set<int64_t> done_;
-  std::deque<int64_t> done_order_;
+  std::unordered_set<int64_t> done_ids_;
+  std::deque<Done> done_;  // the last kRemembered, oldest first
   std::vector<net::Completion> completions_;
-  std::vector<RoutedOutcome> outcomes_;  // everything routed so far
   // Upstream client counters, snapshotted after each routed batch so the
   // network thread can report them mid-run without racing the clients.
   int64_t cached_retries_ = 0;

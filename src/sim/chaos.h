@@ -37,6 +37,11 @@ enum class WireCorruption : int32_t {
   kOversized = 3,  // inflate a length prefix past the cap -> kOversized
 };
 
+// Registry names (baselines/registry.h) in the order Episode::algorithms
+// takes them.
+inline constexpr const char* kAlgorithmRotation[] = {"spr", "heapsort",
+                                                     "quickselect", "tourtree"};
+
 struct Episode {
   // The master seed this episode was derived from (0 when hand-built).
   uint64_t seed = 0;
@@ -48,8 +53,8 @@ struct Episode {
   int64_t queries = 4;     // trace length
   int64_t k = 3;           // top-k per query
   double alpha = 0.05;     // per-comparison significance
-  int64_t algorithms = 2;  // leading entries of {spr, heapsort, quickselect,
-                           // tourtree} used round-robin per query
+  int64_t algorithms = 2;  // leading entries of kAlgorithmRotation used
+                           // round-robin per query
   double arrival_rate = 0.05;  // Poisson lambda (simulated seconds)
 
   // ----- crowd schedule --------------------------------------------------

@@ -5,10 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "baselines/heap_sort.h"
-#include "baselines/quick_select.h"
-#include "baselines/tournament_tree.h"
-#include "core/spr.h"
+#include "baselines/registry.h"
 #include "persist/recovery.h"
 #include "persist/wal.h"
 #include "serve/arrival.h"
@@ -34,23 +31,6 @@ struct RunConfig {
   const std::vector<cache::ExportedEntry>* warm = nullptr;
 };
 
-std::unique_ptr<core::TopKAlgorithm> MakeAlgorithm(
-    int64_t index, const judgment::ComparisonOptions& comparison) {
-  switch (index % 4) {
-    case 0: {
-      core::SprOptions spr_options;
-      spr_options.comparison = comparison;
-      return std::make_unique<core::Spr>(spr_options);
-    }
-    case 1:
-      return std::make_unique<baselines::HeapSortTopK>(comparison);
-    case 2:
-      return std::make_unique<baselines::QuickSelectTopK>(comparison);
-    default:
-      return std::make_unique<baselines::TournamentTree>(comparison);
-  }
-}
-
 // One full-stack replay of the episode's trace under `config`.
 RunArtifacts RunReplay(const Episode& e, const RunConfig& config) {
   const SimEnvironment env(e.seed);
@@ -63,7 +43,8 @@ RunArtifacts RunReplay(const Episode& e, const RunConfig& config) {
 
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
   for (int64_t a = 0; a < e.algorithms; ++a) {
-    algorithms.push_back(MakeAlgorithm(a, comparison));
+    algorithms.push_back(
+        baselines::MakeAlgorithm(kAlgorithmRotation[a % 4], comparison));
   }
 
   std::vector<serve::QueryRequest> requests(e.queries);

@@ -5,10 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "baselines/heap_sort.h"
-#include "baselines/quick_select.h"
-#include "baselines/tournament_tree.h"
-#include "core/spr.h"
+#include "baselines/registry.h"
 #include "exec/run_engine.h"
 #include "persist/format.h"
 #include "persist/wal.h"
@@ -359,28 +356,6 @@ void CheckVerifyPreservation(const Episode& episode,
 
 namespace {
 
-// The harness's algorithm rotation (harness.cc MakeAlgorithm), with the
-// placement-key name each index routes under.
-constexpr const char* kShardAlgoNames[] = {"spr", "heapsort", "quickselect",
-                                           "tourtree"};
-
-std::unique_ptr<core::TopKAlgorithm> MakeShardAlgorithm(
-    int64_t index, const judgment::ComparisonOptions& comparison) {
-  switch (index % 4) {
-    case 0: {
-      core::SprOptions spr_options;
-      spr_options.comparison = comparison;
-      return std::make_unique<core::Spr>(spr_options);
-    }
-    case 1:
-      return std::make_unique<baselines::HeapSortTopK>(comparison);
-    case 2:
-      return std::make_unique<baselines::QuickSelectTopK>(comparison);
-    default:
-      return std::make_unique<baselines::TournamentTree>(comparison);
-  }
-}
-
 struct ShardReplay {
   std::vector<shard::RoutedOutcome> outcomes;
   shard::RouterCounters counters;
@@ -402,7 +377,8 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
   comparison.budget = 500;
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
   for (int64_t a = 0; a < e.algorithms; ++a) {
-    algorithms.push_back(MakeShardAlgorithm(a, comparison));
+    algorithms.push_back(
+        baselines::MakeAlgorithm(kAlgorithmRotation[a % 4], comparison));
   }
 
   std::vector<shard::RoutedQuery> queries(static_cast<size_t>(e.queries));
@@ -410,7 +386,7 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
     shard::RoutedQuery& routed = queries[static_cast<size_t>(q)];
     routed.global_id = q;
     routed.dataset = "sim_ladder";
-    routed.algo = kShardAlgoNames[q % e.algorithms % 4];
+    routed.algo = kAlgorithmRotation[q % e.algorithms % 4];
     routed.k = e.k;
     routed.alpha = e.alpha;
     routed.universe = 0;

@@ -225,6 +225,7 @@ TEST(GeneratorsTest, MakeByNameDispatch) {
   EXPECT_EQ(MakeByName("jester", 1)->name(), "Jester");
   EXPECT_EQ(MakeByName("photo", 1)->name(), "Photo");
   EXPECT_EQ(MakeByName("peopleage", 1)->name(), "PeopleAge");
+  EXPECT_EQ(MakeByName("nope", 1), nullptr);
 }
 
 // --------------------------------------------------------------- Subset

@@ -1,6 +1,7 @@
 // Tests for the network serving subsystem (src/net): wire-protocol codec
 // round-trips, golden frame bytes, corrupt/truncated/oversized frame
 // rejection, version-gated handshake, and end-to-end loopback serving
+// through the network server's engine (shard::RouterEngine at K = 1)
 // including graceful drain.
 
 #include <arpa/inet.h>
@@ -15,12 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "data/gaussian_dataset.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "serve/query_service.h"
+#include "shard/router_engine.h"
 #include "util/env.h"
 #include "util/file_io.h"
 #include "util/status.h"
@@ -331,17 +333,17 @@ TEST(NetProtocolTest, ResultItemCountIsBoundsChecked) {
   EXPECT_FALSE(DecodeMessage(enc.Take(), &out));
 }
 
-TEST(NetProtocolTest, MapRejectReasonIsMachineReadable) {
-  EXPECT_EQ(MapRejectReason(serve::RejectReason::kQueueFull),
-            ErrorCode::kQueueFull);
-  EXPECT_EQ(MapRejectReason(serve::RejectReason::kNone), ErrorCode::kInternal);
-}
-
 // ----- end-to-end loopback -------------------------------------------------
 
-// Starts a real Server on an ephemeral loopback port with a tiny injected
-// dataset (12 items) so queries finish in milliseconds; Serve() runs on a
-// background thread until StopServer() drains it.
+TEST(NetServerTest, StartWithoutEngineIsAnError) {
+  Server server{ServerOptions()};
+  EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument);
+}
+
+// Starts a real Server on an ephemeral loopback port, with the engine
+// crowdtopk_router runs by default and a tiny injected dataset (12 items)
+// so queries finish in milliseconds; Serve() runs on a background thread
+// until StopServer() drains it.
 class NetE2ETest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options) {
@@ -350,10 +352,18 @@ class NetE2ETest : public ::testing::Test {
     options.idle_timeout_ms = options.idle_timeout_ms == 60000
                                   ? 10000
                                   : options.idle_timeout_ms;
-    options.dataset_factory = [](const std::string& name,
-                                 uint64_t) -> std::unique_ptr<data::Dataset> {
-      if (name != "tiny") return nullptr;
-      return data::MakeUniformLadder(12, 2.0, 0.5);
+    if (options.dataset_factory == nullptr) {
+      options.dataset_factory =
+          [](const std::string& name,
+             uint64_t) -> std::unique_ptr<data::Dataset> {
+        if (name != "tiny") return nullptr;
+        return data::MakeUniformLadder(12, 2.0, 0.5);
+      };
+    }
+    options.engine_factory = [](const ServerOptions& engine_options,
+                                std::function<void()> wake) {
+      return std::make_unique<shard::RouterEngine>(
+          engine_options, shard::RouterEngineConfig(), std::move(wake));
     };
     server_ = std::make_unique<Server>(options);
     ASSERT_TRUE(server_->Start().ok());
@@ -417,9 +427,9 @@ TEST_F(NetE2ETest, SubmitAwaitRoundTrip) {
   EXPECT_GE(stats->batches, 1);
 }
 
-TEST_F(NetE2ETest, ResultsAreDeterministicPerBatchIndex) {
-  // Two servers with the same seed serve identical first submissions:
-  // batch 0 is a pure function of (options, seed, request).
+TEST_F(NetE2ETest, ResultsAreDeterministicAcrossFreshServers) {
+  // Two servers with the same seed serve identical first submissions: an
+  // outcome is a pure function of (options, seed, request, query id).
   Result results[2];
   for (int round = 0; round < 2; ++round) {
     StartServer(ServerOptions());
@@ -437,6 +447,48 @@ TEST_F(NetE2ETest, ResultsAreDeterministicPerBatchIndex) {
   EXPECT_EQ(results[0].total_microtasks, results[1].total_microtasks);
   EXPECT_EQ(results[0].rounds, results[1].rounds);
   EXPECT_DOUBLE_EQ(results[0].latency_seconds, results[1].latency_seconds);
+}
+
+// Committed cache entries chain from batch to batch, and must stay keyed
+// by dataset: `down` ranks the same item ids in the opposite order to
+// `up`, so `up`'s cached verdicts served to a `down` query would pull
+// `up`'s top items into its answer.
+TEST_F(NetE2ETest, CachedVerdictsNeverCrossDatasets) {
+  ServerOptions options;
+  options.cache.enabled = true;
+  options.dataset_factory = [](const std::string& name,
+                               uint64_t) -> std::unique_ptr<data::Dataset> {
+    if (name != "up" && name != "down") return nullptr;
+    std::vector<double> scores(40);
+    for (int i = 0; i < 40; ++i) scores[i] = name == "up" ? i : 39 - i;
+    return std::make_unique<data::GaussianDataset>(name, std::move(scores),
+                                                   /*noise_stddev=*/1.0,
+                                                   /*score_scale=*/40.0);
+  };
+  StartServer(options);
+  Client client(MakeClientOptions());
+  ASSERT_TRUE(client.Connect().ok());
+
+  std::vector<Result> results;
+  for (const char* dataset : {"up", "up", "down", "down"}) {
+    SubmitQuery query;
+    query.dataset = dataset;
+    query.k = 5;
+    query.algo = "heapsort";
+    query.alpha = 0.05;
+    const util::StatusOr<int64_t> id = client.Submit(query);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    util::StatusOr<Result> result = client.AwaitResult(*id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results.push_back(std::move(*result));
+  }
+  const std::vector<crowd::ItemId> top_up = {39, 38, 37, 36, 35};
+  const std::vector<crowd::ItemId> top_down = {0, 1, 2, 3, 4};
+  EXPECT_EQ(results[0].items, top_up);
+  EXPECT_EQ(results[1].items, top_up);
+  EXPECT_EQ(results[2].items, top_down);
+  EXPECT_EQ(results[3].items, top_down);
+  EXPECT_EQ(results[3].precision_at_k, 1.0);
 }
 
 TEST_F(NetE2ETest, UnknownDatasetAndAlgorithmAreClientErrors) {

@@ -2,13 +2,16 @@
 // docs/SHARDING.md): placement hashing (determinism, rendezvous stability
 // under resize), the router's shard-count / thread-count invariance of the
 // merged pure-column table, bounded failover re-dispatch, the cache-sync
-// alpha gate, and agreement between a 1-shard router and a plain
-// serve::QueryService fed the same stamped seed streams.
+// alpha gate, agreement between a 1-shard router and a plain
+// serve::QueryService fed the same stamped seed streams, and the router
+// engine's bounded memory of finished queries.
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/heap_sort.h"
@@ -21,6 +24,7 @@
 #include "shard/local_backend.h"
 #include "shard/report.h"
 #include "shard/router.h"
+#include "shard/router_engine.h"
 #include "util/status.h"
 
 namespace crowdtopk::shard {
@@ -392,6 +396,47 @@ TEST(ShardRouterTest, SingleShardMatchesPlainQueryService) {
     EXPECT_EQ(r.expired_assignments, d.expired_assignments) << "query " << i;
     EXPECT_EQ(r.requeued_assignments, d.requeued_assignments) << "query " << i;
   }
+}
+
+// ----- router engine --------------------------------------------------------
+
+// The engine serves for as long as its process runs, so it remembers only
+// the last 4096 finished queries: older ids read kUnknown and drop out of
+// the merged table. The last query carries a client stamp, which keys its
+// row in place of the wire id.
+TEST(RouterEngineTest, RemembersOnlyTheLast4096Queries) {
+  net::ServerOptions options;
+  options.seed = kSeed;
+  options.max_queue = -1;
+  options.dataset_factory = [](const std::string&, uint64_t) {
+    return std::unique_ptr<data::Dataset>(data::MakeUniformLadder(3, 2.0, 0.5));
+  };
+  RouterEngine engine(options, RouterEngineConfig(), [] {});
+
+  constexpr int64_t kQueries = 4100;
+  net::SubmitQuery spec;
+  spec.dataset = "ladder";
+  spec.k = 1;
+  spec.algo = "heapsort";
+  for (int64_t q = 0; q < kQueries; ++q) {
+    if (q == kQueries - 1) spec.seed_stream = 1000000;
+    ASSERT_TRUE(engine.Submit(/*conn_id=*/0, spec).ok());
+  }
+  size_t completed = 0;
+  while (completed < kQueries) {
+    const size_t taken = engine.TakeCompletions().size();
+    if (taken == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    completed += taken;
+  }
+
+  EXPECT_EQ(engine.State(kQueries - 4097), net::QueryState::kUnknown);
+  EXPECT_EQ(engine.State(kQueries - 4096), net::QueryState::kDone);
+  EXPECT_EQ(engine.State(kQueries - 1), net::QueryState::kDone);
+  const std::string report = engine.MergedReport();
+  const std::string table = report.substr(report.find("gid,"));
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 4096 + 1);
+  EXPECT_EQ(table.substr(table.rfind('\n', table.size() - 2) + 1, 8),
+            "1000000,");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "net/server.h"
 #include "serve/arrival.h"
 #include "serve/query_service.h"
+#include "shard/router_engine.h"
 #include "sim/chaos.h"
 #include "sim/environment.h"
 #include "sim/harness.h"
@@ -32,6 +33,13 @@ namespace {
 
 std::string Scratch(const std::string& leaf) {
   return ::testing::TempDir() + "crowdtopk_sim_test_" + leaf;
+}
+
+// The network server's engine: the router at its default K = 1.
+std::unique_ptr<net::Engine> RouterEngine(const net::ServerOptions& options,
+                                          std::function<void()> wake) {
+  return std::make_unique<shard::RouterEngine>(
+      options, shard::RouterEngineConfig(), std::move(wake));
 }
 
 // ----- episode spec --------------------------------------------------------
@@ -241,6 +249,7 @@ TEST(SimNetTest, DrainCompletesInFlightUnderSimClock) {
   net::ServerOptions options;
   options.port = 0;
   options.clock = env.clock();
+  options.engine_factory = RouterEngine;
   options.dataset_factory = [](const std::string& name,
                                uint64_t) -> std::unique_ptr<data::Dataset> {
     if (name != "tiny") return nullptr;
@@ -282,6 +291,7 @@ TEST(SimNetTest, IdleTimeoutFiresOnSimulatedTimeOnly) {
   options.port = 0;
   options.idle_timeout_ms = 5000;
   options.clock = env.clock();
+  options.engine_factory = RouterEngine;
   net::Server server(options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serve_thread([&server] { server.Serve(); });

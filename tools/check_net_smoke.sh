@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Network-serving smoke check (src/net, docs/NETWORK.md).
 #
-# Job 1 — loadgen byte-determinism: start crowdtopk_server on an ephemeral
-# loopback port, drive it with crowdtopk_loadgen (single worker, fixed
-# seed), SIGTERM the server, then repeat with a *fresh* server under the
-# same seed. The two loadgen reports must be byte-identical: every latency
-# and cost figure is simulated time carried back in Result frames, so the
-# whole report is a pure function of the seeds.
+# Job 1 — loadgen byte-determinism: start the network server
+# (crowdtopk_router at one shard, cache on) on an ephemeral loopback port,
+# drive it with crowdtopk_loadgen (single worker, fixed seed), SIGTERM the
+# server, then repeat with a *fresh* server under the same seed. The two
+# loadgen reports must be byte-identical: every latency and cost figure is
+# simulated time carried back in Result frames, so the whole report is a
+# pure function of the seeds.
 #
 # Job 2 — graceful drain: both server runs must exit 0 on SIGTERM with a
 # "drained" summary whose completed-query count matches the trace, i.e.
@@ -16,7 +17,7 @@
 set -eu
 
 build="${1:?usage: tools/check_net_smoke.sh <build_dir>}"
-server="$build/tools/crowdtopk_server"
+server="$build/tools/crowdtopk_router"
 loadgen="$build/tools/crowdtopk_loadgen"
 [ -x "$server" ] || { echo "FAIL: $server not built"; exit 1; }
 [ -x "$loadgen" ] || { echo "FAIL: $loadgen not built"; exit 1; }
@@ -31,7 +32,7 @@ run_once() {  # run_once <tag>
   local tag="$1"
   local srv_log="$work/server_$tag.log"
 
-  env CROWDTOPK_NET_PORT=0 CROWDTOPK_CACHE=1 \
+  env CROWDTOPK_NET_PORT=0 CROWDTOPK_SHARDS=1 CROWDTOPK_CACHE=1 \
       "$server" > "$srv_log" 2>&1 &
   local srv_pid=$!
 
@@ -64,7 +65,7 @@ run_once() {  # run_once <tag>
     echo "FAIL($tag): server exited $status on SIGTERM"; cat "$srv_log"
     exit 1
   fi
-  if ! grep -q "crowdtopk_server: drained" "$srv_log"; then
+  if ! grep -q "crowdtopk_router: drained" "$srv_log"; then
     echo "FAIL($tag): no drain summary in server log"; cat "$srv_log"
     exit 1
   fi

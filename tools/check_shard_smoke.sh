@@ -15,6 +15,11 @@
 # with every admitted query completed, re-dispatch accounted in the drain
 # summary, and the *same* merged table bytes as the healthy runs.
 #
+# Job 4 — remote shards: three 1-shard routers serve as far ends; a front
+# router over two of them and another over the third must produce
+# byte-identical merged tables (the far ends honor the front's seed-stream
+# stamp), and every process must drain cleanly.
+#
 # Usage: tools/check_shard_smoke.sh <build_dir>
 set -eu
 
@@ -25,46 +30,38 @@ loadgen="$build/tools/crowdtopk_loadgen"
 [ -x "$loadgen" ] || { echo "FAIL: $loadgen not built"; exit 1; }
 
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+pids=""
+trap 'kill $pids 2>/dev/null || true; rm -rf "$work"' EXIT
 
 queries=12
 k=5
 
-# run_once <tag> <shards> [extra env as VAR=val ...]
-run_once() {
-  local tag="$1" shards="$2"
-  shift 2
+# start_router <tag> [extra env as VAR=val ...]: starts a router in the
+# background and sets $pid and $port.
+start_router() {
+  local tag="$1"
+  shift
   local log="$work/router_$tag.log"
-
-  env CROWDTOPK_NET_PORT=0 CROWDTOPK_SHARDS="$shards" \
-      CROWDTOPK_ROUTER_REPORT="$work/report_$tag.txt" "$@" \
-      "$router" > "$log" 2>&1 &
-  local pid=$!
-
-  local port=""
+  env CROWDTOPK_NET_PORT=0 "$@" "$router" > "$log" 2>&1 &
+  pid=$!
+  pids="$pids $pid"
+  port=""
   for _ in $(seq 100); do
     port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
         "$log" 2>/dev/null)"
-    [ -n "$port" ] && break
+    [ -n "$port" ] && return
     sleep 0.1
   done
-  if [ -z "$port" ]; then
-    echo "FAIL($tag): router never reported its port"; cat "$log"
-    kill "$pid" 2>/dev/null || true
-    exit 1
-  fi
+  echo "FAIL($tag): router never reported its port"; cat "$log"
+  exit 1
+}
 
-  env CROWDTOPK_NET_PORT="$port" CROWDTOPK_LOADGEN_QUERIES="$queries" \
-      CROWDTOPK_LOADGEN_K="$k" CROWDTOPK_LOADGEN_WORKERS=1 \
-      "$loadgen" > "$work/loadgen_$tag.txt" || {
-    echo "FAIL($tag): loadgen reported transport errors"; cat "$log"
-    kill "$pid" 2>/dev/null || true
-    exit 1
-  }
-
-  kill -TERM "$pid"
-  local status=0
-  wait "$pid" || status=$?
+# stop_router <tag> <pid>: SIGTERM, then require exit 0 and a drain summary.
+stop_router() {
+  local tag="$1" victim="$2" status=0
+  local log="$work/router_$tag.log"
+  kill -TERM "$victim"
+  wait "$victim" || status=$?
   if [ "$status" -ne 0 ]; then
     echo "FAIL($tag): router exited $status on SIGTERM"; cat "$log"
     exit 1
@@ -73,9 +70,33 @@ run_once() {
     echo "FAIL($tag): no drain summary in router log"; cat "$log"
     exit 1
   fi
-  if ! grep -q "completed=$queries" "$log"; then
+}
+
+# completed <tag>: the completed-query count of a drained router.
+completed() {
+  sed -n 's/.* queries submitted=[0-9]* completed=\([0-9]*\).*/\1/p' \
+      "$work/router_$1.log"
+}
+
+# run_once <tag> <shards> [extra env as VAR=val ...]
+run_once() {
+  local tag="$1" shards="$2"
+  shift 2
+  start_router "$tag" CROWDTOPK_SHARDS="$shards" \
+      CROWDTOPK_ROUTER_REPORT="$work/report_$tag.txt" "$@"
+
+  env CROWDTOPK_NET_PORT="$port" CROWDTOPK_LOADGEN_QUERIES="$queries" \
+      CROWDTOPK_LOADGEN_K="$k" CROWDTOPK_LOADGEN_WORKERS=1 \
+      "$loadgen" > "$work/loadgen_$tag.txt" || {
+    echo "FAIL($tag): loadgen reported transport errors"
+    cat "$work/router_$tag.log"
+    exit 1
+  }
+
+  stop_router "$tag" "$pid"
+  if [ "$(completed "$tag")" != "$queries" ]; then
     echo "FAIL($tag): drain summary does not show completed=$queries"
-    cat "$log"
+    cat "$work/router_$tag.log"
     exit 1
   fi
   # The merged table (pure columns only) is what all runs must agree on;
@@ -143,4 +164,33 @@ if ! grep -Eq "failures=[1-9]" "$work/router_run4.log" ||
   exit 1
 fi
 echo "   OK: failover run byte-identical, no exhausted queries"
+
+echo "== runs 5 and 6: front routers over remote 1-shard routers =="
+start_router far_a CROWDTOPK_SHARDS=1
+pid_a=$pid port_a=$port
+start_router far_b CROWDTOPK_SHARDS=1
+pid_b=$pid port_b=$port
+start_router far_c CROWDTOPK_SHARDS=1
+pid_c=$pid port_c=$port
+run_once run5 1 CROWDTOPK_SHARD_PORTS="$port_a,$port_b"
+run_once run6 1 CROWDTOPK_SHARD_PORTS="$port_c"
+stop_router far_a "$pid_a"
+stop_router far_b "$pid_b"
+stop_router far_c "$pid_c"
+
+echo "== remote merged tables agree across far-end counts =="
+if ! cmp -s "$work/table_run5.txt" "$work/table_run6.txt"; then
+  echo "FAIL: 2-far-end and 1-far-end merged tables differ"
+  diff "$work/table_run5.txt" "$work/table_run6.txt" | head -10
+  exit 1
+fi
+# Non-vacuity: the far ends, not the fronts, ran every query.
+if [ "$(( $(completed far_a) + $(completed far_b) ))" -ne "$queries" ] ||
+   [ "$(completed far_c)" -ne "$queries" ]; then
+  echo "FAIL: far ends did not complete every routed query"
+  cat "$work/router_far_a.log" "$work/router_far_b.log" \
+      "$work/router_far_c.log"
+  exit 1
+fi
+echo "   OK: remote tables byte-identical, every far end drained cleanly"
 echo "PASS: shard smoke"

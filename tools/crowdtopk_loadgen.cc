@@ -1,4 +1,4 @@
-// crowdtopk_loadgen: closed-loop load generator for crowdtopk_server
+// crowdtopk_loadgen: closed-loop load generator for crowdtopk_router
 // (src/net, docs/NETWORK.md). Submits a seeded trace of top-k queries over
 // TCP and prints a deterministic latency / cost report.
 //
@@ -37,11 +37,11 @@ using namespace crowdtopk;
 
 constexpr char kHelp[] = R"(crowdtopk_loadgen [--help]
 
-Drives crowdtopk_server (or crowdtopk_router — same protocol) with a
-seeded query trace and prints a deterministic report (byte-identical
-across runs for a fixed seed and CROWDTOPK_LOADGEN_WORKERS=1 — latency is
-simulated time from the server, never wall clock). The shard_id column is
-0 against a plain server and the executing shard behind a router.
+Drives crowdtopk_router with a seeded query trace and prints a
+deterministic report (byte-identical across runs for a fixed seed and
+CROWDTOPK_LOADGEN_WORKERS=1 — latency is simulated time from the server,
+never wall clock). The shard_id column is the executing shard: 0 at the
+router's default CROWDTOPK_SHARDS=1.
 
 Target
   CROWDTOPK_NET_HOST        server host                (default 127.0.0.1)

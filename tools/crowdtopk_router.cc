@@ -1,17 +1,20 @@
-// crowdtopk_router: sharded scale-out front-end (src/shard,
-// docs/SHARDING.md). Speaks the same wire protocol as crowdtopk_server on
-// 127.0.0.1:CROWDTOPK_NET_PORT, but executes every batch through a
+// crowdtopk_router: the network server (src/net, docs/NETWORK.md) and its
+// sharded scale-out (src/shard, docs/SHARDING.md). Binds
+// 127.0.0.1:CROWDTOPK_NET_PORT, speaks the framed wire protocol of
+// src/net/protocol.h, and executes every batch through a
 // shard::RouterEngine — a deterministic router over K engine shards:
-// CROWDTOPK_SHARDS in-process engines by default, or one remote
-// crowdtopk_server per CROWDTOPK_SHARD_PORTS endpoint. For a fixed master
-// seed the merged per-query result table is byte-identical for every
-// shard count; a shard that dies mid-batch loses its sub-batch and the
-// router re-dispatches the queries to survivors (bounded by
-// CROWDTOPK_SHARD_REDISPATCH).
+// CROWDTOPK_SHARDS in-process engines (default 1, the single-process
+// server), or one remote crowdtopk_router per CROWDTOPK_SHARD_PORTS
+// endpoint. For a fixed master seed the merged per-query result table is
+// byte-identical for every shard count; a shard that dies mid-batch loses
+// its sub-batch and the router re-dispatches the queries to survivors
+// (bounded by CROWDTOPK_SHARD_REDISPATCH).
 //
-// SIGTERM / SIGINT drain gracefully exactly like crowdtopk_server: the
-// drain fans out through the router, every admitted query finishes (or
-// fails over), results are flushed, then the process exits 0.
+// SIGTERM / SIGINT start a graceful drain: the acceptor stops, new
+// submissions are refused with UNAVAILABLE, every admitted query finishes
+// (or fails over), results are flushed, then the process exits 0. The
+// bound port is printed on stdout — with CROWDTOPK_NET_PORT=0 that is the
+// only way to learn the ephemeral port, and the smoke scripts parse it.
 
 #include <csignal>
 #include <cstdio>
@@ -30,15 +33,17 @@ using namespace crowdtopk;
 
 constexpr char kHelp[] = R"(crowdtopk_router [--help]
 
-Routes crowdsourced top-k queries over K engine shards behind one TCP
-front-end on 127.0.0.1 (wire protocol: docs/NETWORK.md; sharding model:
-docs/SHARDING.md). SIGTERM/SIGINT drain gracefully: admitted queries
-finish (failing over past dead shards), new ones are refused.
+Serves crowdsourced top-k queries over TCP on 127.0.0.1 (wire protocol:
+docs/NETWORK.md), routed over K engine shards (sharding model:
+docs/SHARDING.md); K = 1 by default. SIGTERM/SIGINT drain gracefully:
+admitted queries finish (failing over past dead shards), new ones are
+refused with UNAVAILABLE.
 
 Sharding knobs
   CROWDTOPK_SHARDS            in-process engine shards       (default 1)
   CROWDTOPK_SHARD_POLICY      rendezvous | modulo   (default rendezvous)
-  CROWDTOPK_SHARD_PORTS       comma-separated crowdtopk_server ports;
+  CROWDTOPK_SHARD_PORTS       comma-separated ports of crowdtopk_router
+                              processes started with the same seed;
                               overrides CROWDTOPK_SHARDS with one remote
                               shard per endpoint          (default unset)
   CROWDTOPK_SHARD_CACHE_SYNC  =1 gossip judgment-cache entries between
@@ -47,9 +52,10 @@ Sharding knobs
   CROWDTOPK_SHARD_FAIL        fault injection: this shard id dies ...
   CROWDTOPK_SHARD_FAIL_AFTER  ... while executing its N-th batch (default 1)
   CROWDTOPK_ROUTER_REPORT     write the merged per-query report (pure
-                              columns, global-id order) here on drain
+                              columns, global-id order, the last 4096
+                              queries) here on drain
 
-Network knobs (same as crowdtopk_server)
+Network knobs
   CROWDTOPK_NET_PORT             TCP port; 0 = ephemeral    (default 0)
   CROWDTOPK_NET_MAX_CONNS        connection bound           (default 64)
   CROWDTOPK_NET_IDLE_TIMEOUT_MS  idle-connection close, <=0 off (60000)
@@ -203,10 +209,20 @@ int main(int argc, char** argv) {
   const net::StatsReply stats = server.Stats();
   const shard::RouterCounters counters = engine->counters();
   std::printf(
-      "crowdtopk_router: drained | queries submitted=%lld completed=%lld "
-      "rejected=%lld cancelled=%lld batches=%lld | shards failures=%lld "
-      "redispatched=%lld repurchased_microtasks=%lld exhausted=%lld | "
-      "upstream retries=%lld redials=%lld\n",
+      "crowdtopk_router: drained | conns accepted=%lld rejected=%lld "
+      "idle_closed=%lld | frames in=%lld out=%lld crc_errors=%lld "
+      "malformed=%lld version_mismatches=%lld | queries submitted=%lld "
+      "completed=%lld rejected=%lld cancelled=%lld batches=%lld | shards "
+      "failures=%lld redispatched=%lld repurchased_microtasks=%lld "
+      "exhausted=%lld | upstream retries=%lld redials=%lld\n",
+      static_cast<long long>(stats.accepted_connections),
+      static_cast<long long>(stats.rejected_connections),
+      static_cast<long long>(stats.idle_closed),
+      static_cast<long long>(stats.frames_in),
+      static_cast<long long>(stats.frames_out),
+      static_cast<long long>(stats.crc_errors),
+      static_cast<long long>(stats.malformed_frames),
+      static_cast<long long>(stats.version_mismatches),
       static_cast<long long>(stats.queries_submitted),
       static_cast<long long>(stats.queries_completed),
       static_cast<long long>(stats.queries_rejected),

@@ -15,9 +15,10 @@
 //              the (new) trace warm — the cross-generation reuse path
 //
 // Exit codes: 0 ok (including a degraded resume after WAL-tail damage,
-// which is reported, not fatal); 2 persistence error (configuration
-// fingerprint mismatch, write failure); 3 catch-up divergence (durable
-// records disagree with deterministic re-execution — file a bug).
+// which is reported, not fatal); 2 bad argument, unknown dataset or
+// algorithm name, or persistence error (configuration fingerprint
+// mismatch, write failure); 3 catch-up divergence (durable records
+// disagree with deterministic re-execution — file a bug).
 
 #include <cstdio>
 #include <cstring>
@@ -25,16 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "baselines/heap_sort.h"
-#include "baselines/quick_select.h"
-#include "baselines/tournament_tree.h"
-#include "core/spr.h"
+#include "baselines/registry.h"
 #include "data/generators.h"
 #include "persist/recovery.h"
 #include "serve/arrival.h"
 #include "serve/query_service.h"
 #include "serve/report.h"
-#include "util/check.h"
 #include "util/env.h"
 
 namespace {
@@ -96,8 +93,8 @@ Output knobs
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  per-query telemetry traces
                             (docs/OBSERVABILITY.md)
 
-Exit codes: 0 ok (degraded resume included), 2 persistence error,
-3 catch-up divergence.
+Exit codes: 0 ok (degraded resume included), 2 bad argument, unknown
+dataset or algorithm name, or persistence error, 3 catch-up divergence.
 )";
 
 std::vector<std::string> SplitCsv(const std::string& list) {
@@ -115,24 +112,11 @@ std::vector<std::string> SplitCsv(const std::string& list) {
   return parts;
 }
 
-std::unique_ptr<core::TopKAlgorithm> MakeAlgorithm(
-    const std::string& name, const judgment::ComparisonOptions& options) {
-  if (name == "spr") {
-    core::SprOptions spr_options;
-    spr_options.comparison = options;
-    return std::make_unique<core::Spr>(spr_options);
-  }
-  if (name == "tourtree") {
-    return std::make_unique<baselines::TournamentTree>(options);
-  }
-  if (name == "heapsort") {
-    return std::make_unique<baselines::HeapSortTopK>(options);
-  }
-  if (name == "quickselect") {
-    return std::make_unique<baselines::QuickSelectTopK>(options);
-  }
-  CROWDTOPK_CHECK(false && "unknown CROWDTOPK_SERVE_ALGOS entry");
-  return nullptr;
+// Reports a knob value that names no dataset or algorithm; exit code 2.
+int UnknownName(const char* knob, const std::string& value) {
+  std::fprintf(stderr, "crowdtopk_serve: unknown %s '%s' (try --help)\n",
+               knob, value.c_str());
+  return 2;
 }
 
 }  // namespace
@@ -222,11 +206,19 @@ int main(int argc, char** argv) {
 
   const std::unique_ptr<data::Dataset> dataset =
       data::MakeByName(dataset_name, seed);
+  if (dataset == nullptr) {
+    return UnknownName("CROWDTOPK_SERVE_DATASET", dataset_name);
+  }
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
   for (const std::string& name : SplitCsv(algo_list)) {
-    algorithms.push_back(MakeAlgorithm(name, comparison));
+    algorithms.push_back(baselines::MakeAlgorithm(name, comparison));
+    if (algorithms.back() == nullptr) {
+      return UnknownName("CROWDTOPK_SERVE_ALGOS entry", name);
+    }
   }
-  CROWDTOPK_CHECK(!algorithms.empty());
+  if (algorithms.empty()) {
+    return UnknownName("CROWDTOPK_SERVE_ALGOS", algo_list);
+  }
 
   std::vector<serve::QueryRequest> requests(queries);
   for (int64_t q = 0; q < queries; ++q) {
