@@ -131,7 +131,9 @@ struct StatusReply {
 struct Result {
   int64_t query_id = 0;
   uint32_t status_code = 0;  // util::StatusCode
-  uint8_t reject_reason = 0; // serve::RejectReason
+  // Always 0: queue-full refusals travel as QUEUE_FULL error frames, not
+  // as Results. The byte stays because the golden frames pin it.
+  uint8_t reject_reason = 0;
   std::string message;       // status message; empty on success
   std::vector<int32_t> items;
   double precision_at_k = 0.0;

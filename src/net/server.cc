@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <set>
 #include <vector>
@@ -28,6 +29,9 @@ namespace {
 // it is closed as a slow consumer.
 constexpr size_t kWriteHigh = 1u << 20;
 constexpr size_t kWriteMax = 8u << 20;
+
+// Closed connections whose net/conn<id>/* counters the trace keeps.
+constexpr size_t kRememberedConns = 4096;
 
 }  // namespace
 
@@ -556,17 +560,23 @@ class Server::Impl {
     const auto it = conns_.find(conn_id);
     if (it == conns_.end()) return;
     const Connection& conn = it->second;
-    closed_conn_stats_.push_back({conn.id, conn.frames_in, conn.frames_out,
-                                  conn.bytes_in, conn.bytes_out,
-                                  static_cast<int64_t>(conn.pending.size())});
+    if (!options_.trace_dir.empty()) {
+      closed_conn_stats_.push_back({conn.id, conn.frames_in, conn.frames_out,
+                                    conn.bytes_in, conn.bytes_out,
+                                    static_cast<int64_t>(conn.pending.size())});
+      if (closed_conn_stats_.size() > kRememberedConns) {
+        closed_conn_stats_.pop_front();
+      }
+    }
     ::close(conn.fd);
     conns_.erase(it);
     active_conns_.store(static_cast<int64_t>(conns_.size()),
                         std::memory_order_relaxed);
   }
 
-  // Writes the net/* counter trace (aggregate plus one block per closed
-  // connection) once the loop exits. docs/OBSERVABILITY.md naming.
+  // Writes the net/* counter trace (aggregate plus one block for each of
+  // the last kRememberedConns closed connections) once the loop exits.
+  // docs/OBSERVABILITY.md naming.
   void DumpTrace() {
     if (options_.trace_dir.empty()) return;
     telemetry::TraceRecorder recorder;
@@ -627,7 +637,7 @@ class Server::Impl {
   bool draining_ = false;
   bool drain_aborted_ = false;
   int64_t drain_deadline_ms_ = 0;
-  std::vector<ClosedConnStats> closed_conn_stats_;
+  std::deque<ClosedConnStats> closed_conn_stats_;  // traced runs only
 
   // Cross-thread-visible state.
   std::atomic<bool> drain_requested_{false};

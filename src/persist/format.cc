@@ -104,6 +104,9 @@ bool DecodeRecord(const std::string& payload, WalRecord* out) {
           !dec.GetDouble(&c.precision_at_k) || !dec.GetU32(&item_count)) {
         return false;
       }
+      // Each item costs 4 bytes; a count the remaining bytes cannot hold
+      // is corruption, not a huge allocation.
+      if (item_count > dec.remaining() / sizeof(int32_t)) return false;
       c.items.resize(item_count);
       for (uint32_t i = 0; i < item_count; ++i) {
         if (!dec.GetI32(&c.items[i])) return false;

@@ -13,11 +13,11 @@
 //                        dropped — never a crash, never silent corruption.
 //
 //   snapshot-<barrier>.snap
-//                        full state image at one quiescence barrier:
-//                        header (magic, version, flags, payload length,
-//                        CRC32) + payload. Written atomically
-//                        (util::WriteFileAtomic), so a reader sees either
-//                        a complete snapshot or none.
+//                        barrier position + judgment-cache image at one
+//                        quiescence barrier: header (magic, version,
+//                        flags, payload length, CRC32) + payload. Written
+//                        atomically (util::WriteFileAtomic), so a reader
+//                        sees either a complete snapshot or none.
 //
 // All integers are little-endian fixed width; doubles are stored as their
 // IEEE-754 bit patterns, so a restored value is bit-exact — the same
@@ -44,7 +44,11 @@ namespace crowdtopk::persist {
 
 inline constexpr uint64_t kWalMagic = 0x31304c4157344b54ULL;   // "TK4WAL01"
 inline constexpr uint64_t kSnapshotMagic = 0x50414e53344b54ULL;  // "TK4SNAP\0"
+// Version of the manifest and the WAL segment headers.
 inline constexpr uint32_t kFormatVersion = 1;
+// Snapshot header version. A snapshot of any other version is refused
+// like any unreadable snapshot, and recovery falls back past it.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Snapshot header flag: the run this snapshot closes finished cleanly.
 inline constexpr uint32_t kSnapshotFlagComplete = 1u << 0;
@@ -57,8 +61,9 @@ enum class RecordType : uint8_t {
   kBarrier = 5,      // seals the batch; carries the chained state digest
 };
 
-// Durable outcome summary of a finished query (the fields a warm restart
-// must not lose; timing fields re-derive deterministically from replay).
+// Outcome summary of a finished query. Its WAL record feeds the barrier
+// digest, so catch-up checks every re-derived answer against it; timing
+// fields re-derive deterministically from replay and are not recorded.
 struct CompleteRecord {
   int64_t query_id = 0;
   uint32_t status_code = 0;  // util::StatusCode
@@ -106,7 +111,9 @@ std::string EncodeBarrier(const BarrierRecord& record);
 bool DecodeRecord(const std::string& payload, WalRecord* out);
 
 // Serialises / parses a cache entry body (shared by WAL records and the
-// snapshot's cache image).
+// snapshot's cache image). The body has a fixed size: universe, kind, lo,
+// hi, outcome, decisive, alpha, count, mean, m2, first-stage count and sd.
+inline constexpr size_t kCacheEntryBytes = 8 + 4 * 4 + 1 + 8 * 6;
 void EncodeCacheEntry(const cache::ExportedEntry& entry, Encoder* enc);
 bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out);
 

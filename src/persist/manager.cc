@@ -121,7 +121,7 @@ void PersistenceManager::OnCacheInsert(const cache::ExportedEntry& entry) {
 }
 
 void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
-                                       const SnapshotSource& source) {
+                                       const CacheImageSource& source) {
   ++counters_.replayed_barriers;
   const BarrierRecord* durable = nullptr;
   const bool at_snapshot =
@@ -152,9 +152,7 @@ void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
   if (at_snapshot) {
     // The regenerated judgment cache must match the snapshot image
     // bit-for-bit at the barrier the image was taken.
-    const SnapshotData current = source();
-    if (CacheImageDigest(current.cache_entries) ==
-        recovered_->snapshot.cache_digest) {
+    if (CacheImageDigest(source()) == recovered_->snapshot.cache_digest) {
       ++counters_.cache_image_verified;
     } else {
       ++counters_.cache_image_divergent;
@@ -168,7 +166,7 @@ void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
 
 util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
                                            int64_t next_arrival, int64_t done,
-                                           const SnapshotSource& source) {
+                                           const CacheImageSource& source) {
   if (!enabled()) return util::Status::Ok();
   const int64_t seq = next_barrier_++;
   BarrierRecord record;
@@ -218,9 +216,10 @@ util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
   return util::Status::Ok();
 }
 
-util::Status PersistenceManager::TakeSnapshot(const SnapshotSource& source,
+util::Status PersistenceManager::TakeSnapshot(const CacheImageSource& source,
                                               bool complete) {
-  SnapshotData data = source();
+  SnapshotData data;
+  data.cache_entries = source();
   data.barrier = last_barrier_;
   data.config_fingerprint = config_fingerprint_;
   data.complete = complete;
@@ -264,7 +263,7 @@ util::Status PersistenceManager::Prune() {
   return util::Status::Ok();
 }
 
-util::Status PersistenceManager::Finalize(const SnapshotSource& source) {
+util::Status PersistenceManager::Finalize(const CacheImageSource& source) {
   if (!enabled() || halted_ || !sealed_any_) return util::Status::Ok();
   if (last_barrier_.barrier <= counters_.durable_barrier &&
       recovered_ != nullptr && recovered_->has_snapshot &&

@@ -89,11 +89,11 @@ struct PersistCounters {
 
 class PersistenceManager {
  public:
-  // Builds the SnapshotData image (admission state + cache export) at the
-  // current barrier; invoked only when a snapshot is due or a snapshot
-  // barrier needs cache verification. Position fields (barrier,
-  // fingerprint, next_wal_segment, complete) are filled by the manager.
-  using SnapshotSource = std::function<SnapshotData()>;
+  // Exports the judgment cache's committed entries at the current barrier
+  // (empty without a cache); invoked only when a snapshot is due or a
+  // snapshot barrier needs cache verification. The manager fills in every
+  // other SnapshotData field.
+  using CacheImageSource = std::function<std::vector<cache::ExportedEntry>()>;
 
   PersistenceManager(const PersistOptions& options,
                      uint64_t config_fingerprint);
@@ -123,10 +123,10 @@ class PersistenceManager {
   // `next_arrival`, `done` describe the replay position.
   util::Status OnBarrier(int64_t round, double now_seconds,
                          int64_t next_arrival, int64_t done,
-                         const SnapshotSource& source);
+                         const CacheImageSource& source);
 
   // Writes the final (complete) snapshot and prunes old artifacts.
-  util::Status Finalize(const SnapshotSource& source);
+  util::Status Finalize(const CacheImageSource& source);
 
   const PersistCounters& counters() const { return counters_; }
   const RecoveredState* recovered() const {
@@ -137,8 +137,8 @@ class PersistenceManager {
   void BufferEvent(std::string payload);
   // Checks a re-derived catch-up barrier against the durable record.
   void VerifyCatchup(const BarrierRecord& derived,
-                     const SnapshotSource& source);
-  util::Status TakeSnapshot(const SnapshotSource& source, bool complete);
+                     const CacheImageSource& source);
+  util::Status TakeSnapshot(const CacheImageSource& source, bool complete);
   util::Status Prune();
 
   const PersistOptions options_;

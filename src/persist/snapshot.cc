@@ -29,56 +29,11 @@ bool DecodeBarrierFields(Decoder* dec, BarrierRecord* barrier) {
          dec->GetU64(&barrier->digest);
 }
 
-void EncodeCompleteFields(const CompleteRecord& record, Encoder* enc) {
-  enc->PutI64(record.query_id);
-  enc->PutU32(record.status_code);
-  enc->PutI64(record.total_microtasks);
-  enc->PutI64(record.rounds_private);
-  enc->PutDouble(record.precision_at_k);
-  enc->PutU32(static_cast<uint32_t>(record.items.size()));
-  for (const int32_t item : record.items) enc->PutI32(item);
-}
-
-bool DecodeCompleteFields(Decoder* dec, CompleteRecord* record) {
-  uint32_t item_count = 0;
-  if (!dec->GetI64(&record->query_id) || !dec->GetU32(&record->status_code) ||
-      !dec->GetI64(&record->total_microtasks) ||
-      !dec->GetI64(&record->rounds_private) ||
-      !dec->GetDouble(&record->precision_at_k) || !dec->GetU32(&item_count)) {
-    return false;
-  }
-  record->items.resize(item_count);
-  for (uint32_t i = 0; i < item_count; ++i) {
-    if (!dec->GetI32(&record->items[i])) return false;
-  }
-  return true;
-}
-
 std::string EncodePayload(const SnapshotData& data, uint64_t cache_digest) {
   Encoder enc;
   EncodeBarrierFields(data.barrier, &enc);
   enc.PutU64(data.config_fingerprint);
   enc.PutI64(data.next_wal_segment);
-
-  enc.PutU32(static_cast<uint32_t>(data.queued.size()));
-  for (const int64_t id : data.queued) enc.PutI64(id);
-
-  enc.PutU32(static_cast<uint32_t>(data.inflight.size()));
-  for (const InflightDescriptor& d : data.inflight) {
-    enc.PutI64(d.query_id);
-    enc.PutI64(d.admitted_round);
-    enc.PutI64(d.expired_assignments);
-    enc.PutI64(d.requeued_assignments);
-  }
-
-  enc.PutU32(static_cast<uint32_t>(data.completed.size()));
-  for (const CompleteRecord& record : data.completed) {
-    EncodeCompleteFields(record, &enc);
-  }
-
-  enc.PutU32(static_cast<uint32_t>(data.rejected.size()));
-  for (const int64_t id : data.rejected) enc.PutI64(id);
-
   enc.PutU32(static_cast<uint32_t>(data.cache_entries.size()));
   for (const cache::ExportedEntry& entry : data.cache_entries) {
     EncodeCacheEntry(entry, &enc);
@@ -97,35 +52,9 @@ bool DecodePayload(const std::string& payload, SnapshotData* out) {
 
   uint32_t count = 0;
   if (!dec.GetU32(&count)) return false;
-  out->queued.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!dec.GetI64(&out->queued[i])) return false;
-  }
-
-  if (!dec.GetU32(&count)) return false;
-  out->inflight.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    InflightDescriptor& d = out->inflight[i];
-    if (!dec.GetI64(&d.query_id) || !dec.GetI64(&d.admitted_round) ||
-        !dec.GetI64(&d.expired_assignments) ||
-        !dec.GetI64(&d.requeued_assignments)) {
-      return false;
-    }
-  }
-
-  if (!dec.GetU32(&count)) return false;
-  out->completed.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!DecodeCompleteFields(&dec, &out->completed[i])) return false;
-  }
-
-  if (!dec.GetU32(&count)) return false;
-  out->rejected.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!dec.GetI64(&out->rejected[i])) return false;
-  }
-
-  if (!dec.GetU32(&count)) return false;
+  // A count the remaining bytes cannot hold is corruption, not a huge
+  // allocation.
+  if (count > dec.remaining() / kCacheEntryBytes) return false;
   out->cache_entries.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     if (!DecodeCacheEntry(&dec, &out->cache_entries[i])) return false;
@@ -150,7 +79,7 @@ util::Status WriteSnapshot(const std::string& path, const SnapshotData& data,
   const std::string payload = EncodePayload(data, cache_digest);
   Encoder header;
   header.PutU64(kSnapshotMagic);
-  header.PutU32(kFormatVersion);
+  header.PutU32(kSnapshotVersion);
   header.PutU32(data.complete ? kSnapshotFlagComplete : 0);
   header.PutU32(static_cast<uint32_t>(payload.size()));
   header.PutU32(util::Crc32(payload));
@@ -178,7 +107,7 @@ util::Status ReadSnapshot(const std::string& path, SnapshotData* out) {
   if (magic != kSnapshotMagic) {
     return util::Status::InvalidArgument("snapshot bad magic: " + path);
   }
-  if (version != kFormatVersion) {
+  if (version != kSnapshotVersion) {
     return util::Status::InvalidArgument("snapshot unsupported version: " +
                                          path);
   }

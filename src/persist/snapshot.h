@@ -1,13 +1,14 @@
-// Snapshot: the full durable-state image at one quiescence barrier.
+// Snapshot: what recovery reads back at one quiescence barrier.
 //
-// A snapshot captures everything a resumed run needs to verify (and a warm
-// restart needs to reuse): the barrier position and chained digest, the
-// serving layer's admission state (queued ids, in-flight descriptors,
-// completed outcomes, rejected ids), and the judgment cache's committed
-// entries in canonical order with bit-exact Welford summaries. Snapshots
-// are written atomically (tmp + fsync + rename + dir fsync) and carry a
-// whole-payload CRC32, so a reader observes either a complete image or
-// none; a corrupt snapshot makes recovery fall back to the previous one.
+// A snapshot holds the barrier position and chained digest, the serving
+// configuration fingerprint, the first WAL segment written after it, and
+// the judgment cache's committed entries in canonical order with
+// bit-exact Welford summaries. Answers themselves are never stored: a
+// resumed run re-executes the replay and checks it against the barrier
+// digest and the cache image, and a warm restart reuses the image.
+// Snapshots are written atomically (tmp + fsync + rename + dir fsync) and
+// carry a whole-payload CRC32, so a reader observes either a complete image
+// or none; a corrupt snapshot makes recovery fall back to the previous one.
 
 #ifndef CROWDTOPK_PERSIST_SNAPSHOT_H_
 #define CROWDTOPK_PERSIST_SNAPSHOT_H_
@@ -22,17 +23,6 @@
 
 namespace crowdtopk::persist {
 
-// Admission state of one query that was in flight at the snapshot barrier.
-// The mid-algorithm state itself lives on a driver stack and is
-// regenerated deterministically by catch-up re-execution; the descriptor
-// is recorded for observability and divergence triage.
-struct InflightDescriptor {
-  int64_t query_id = 0;
-  int64_t admitted_round = 0;
-  int64_t expired_assignments = 0;
-  int64_t requeued_assignments = 0;
-};
-
 struct SnapshotData {
   // Position: the barrier this image was taken at, plus the running digest
   // (BarrierRecord::digest) catch-up verification compares against.
@@ -45,12 +35,6 @@ struct SnapshotData {
   // First WAL segment with records after this snapshot; older segments
   // are pruned once the snapshot is durable.
   int64_t next_wal_segment = 0;
-
-  // Serving admission state, all in deterministic order.
-  std::vector<int64_t> queued;                  // FIFO admission queue
-  std::vector<InflightDescriptor> inflight;     // ascending query id
-  std::vector<CompleteRecord> completed;        // ascending query id
-  std::vector<int64_t> rejected;                // ascending query id
 
   // Judgment-cache image: canonical order (universe, pair, kind), entries
   // bit-exact. `cache_digest` is CacheImageDigest(cache_entries), stored so
@@ -68,8 +52,8 @@ uint64_t CacheImageDigest(const std::vector<cache::ExportedEntry>& entries);
 util::Status WriteSnapshot(const std::string& path, const SnapshotData& data,
                            int64_t* bytes_written = nullptr);
 
-// Parses a snapshot; InvalidArgument / DataLoss-style Internal errors on a
-// bad magic, version, CRC, or malformed payload.
+// Parses a snapshot; InvalidArgument on a bad magic, a version other than
+// kSnapshotVersion, a bad CRC, or a malformed payload.
 util::Status ReadSnapshot(const std::string& path, SnapshotData* out);
 
 }  // namespace crowdtopk::persist

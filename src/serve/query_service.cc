@@ -164,39 +164,8 @@ std::vector<QueryOutcome> QueryService::Replay(
   int64_t inflight = 0;
   int64_t done = 0;
 
-  // Admission bookkeeping mirrored for the snapshot image (service-thread
-  // only; cheap even with persistence off).
-  std::vector<int64_t> inflight_ids;
-  std::vector<int64_t> rejected_ids;
-  std::vector<persist::CompleteRecord> completed_records;
-
-  // Builds the durable image at the current quiescence barrier; the
-  // manager fills in position, fingerprint, and segment fields.
-  const auto snapshot_source = [&]() {
-    persist::SnapshotData data;
-    data.queued.assign(admission.begin(), admission.end());
-    std::vector<int64_t> ids = inflight_ids;
-    std::sort(ids.begin(), ids.end());
-    for (const int64_t id : ids) {
-      const QueryServeStats stats = scheduler_->QueryStats(id);
-      persist::InflightDescriptor d;
-      d.query_id = id;
-      d.admitted_round = stats.admitted_round;
-      d.expired_assignments = stats.expired_assignments;
-      d.requeued_assignments = stats.requeued_assignments;
-      data.inflight.push_back(d);
-    }
-    data.completed = completed_records;
-    std::sort(data.completed.begin(), data.completed.end(),
-              [](const persist::CompleteRecord& a,
-                 const persist::CompleteRecord& b) {
-                return a.query_id < b.query_id;
-              });
-    data.rejected = rejected_ids;
-    std::sort(data.rejected.begin(), data.rejected.end());
-    if (cache_ != nullptr) data.cache_entries = cache_->Export();
-    return data;
-  };
+  // The judgment-cache image a snapshot stores and catch-up verifies.
+  const auto cache_image = [this] { return ExportCache(); };
 
   while (done < n) {
     // Move due arrivals into the admission queue (or reject on overflow).
@@ -207,12 +176,10 @@ std::vector<QueryOutcome> QueryService::Replay(
           static_cast<int64_t>(admission.size()) >= options_.max_queue) {
         QueryOutcome& o = outcomes_[id];
         o.rejected = true;
-        o.reject_reason = RejectReason::kQueueFull;
         o.status = util::Status::ResourceExhausted(
             "admission queue full (max_queue=" +
             std::to_string(options_.max_queue) + ")");
         ++done;
-        rejected_ids.push_back(id);
         if (persist_ != nullptr) persist_->OnReject(id);
         continue;
       }
@@ -228,7 +195,6 @@ std::vector<QueryOutcome> QueryService::Replay(
                                  : id;
       scheduler_->AdmitQuery(id, stream);
       ++inflight;
-      inflight_ids.push_back(id);
       if (persist_ != nullptr) persist_->OnAdmit(id);
       drivers.emplace_back([this, id] { DriverMain(id); });
     }
@@ -245,16 +211,14 @@ std::vector<QueryOutcome> QueryService::Replay(
       }
     }
     std::vector<int64_t> finished = scheduler_->DrainFinished();
-    if (!finished.empty()) {
-      inflight -= static_cast<int64_t>(finished.size());
-      done += static_cast<int64_t>(finished.size());
+    inflight -= static_cast<int64_t>(finished.size());
+    done += static_cast<int64_t>(finished.size());
+    if (persist_ != nullptr) {
       // DrainFinished returns completion-callback order, which depends on
-      // thread timing; everything downstream (WAL events, snapshots) wants
-      // the deterministic query-id order.
+      // thread timing; the WAL's complete events want the deterministic
+      // query-id order.
       std::sort(finished.begin(), finished.end());
       for (const int64_t id : finished) {
-        inflight_ids.erase(
-            std::find(inflight_ids.begin(), inflight_ids.end(), id));
         persist::CompleteRecord record;
         record.query_id = id;
         record.status_code =
@@ -264,8 +228,7 @@ std::vector<QueryOutcome> QueryService::Replay(
         record.rounds_private = o.rounds_private;
         record.precision_at_k = o.precision_at_k;
         record.items.assign(o.items.begin(), o.items.end());
-        completed_records.push_back(record);
-        if (persist_ != nullptr) persist_->OnComplete(record);
+        persist_->OnComplete(record);
       }
     }
     // Quiescence barrier: seal this iteration's events. During catch-up
@@ -275,7 +238,7 @@ std::vector<QueryOutcome> QueryService::Replay(
       const bool was_catchup = persist_->in_catchup();
       const util::Status barrier_status =
           persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                              next_arrival, done, snapshot_source);
+                              next_arrival, done, cache_image);
       if (!barrier_status.ok() && persist_status_.ok()) {
         persist_status_ = barrier_status;
         std::fprintf(stderr, "crowdtopk persist: %s\n",
@@ -312,12 +275,12 @@ std::vector<QueryOutcome> QueryService::Replay(
     const bool was_catchup = persist_->in_catchup();
     util::Status final_status =
         persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                            next_arrival, done, snapshot_source);
+                            next_arrival, done, cache_image);
     if (was_catchup && !persist_->in_catchup()) {
       // The whole replay was catch-up (resume of an already-complete run).
       replayed_microtasks_ = scheduler_->assignment_stats().completed;
     }
-    if (final_status.ok()) final_status = persist_->Finalize(snapshot_source);
+    if (final_status.ok()) final_status = persist_->Finalize(cache_image);
     if (!final_status.ok() && persist_status_.ok()) {
       persist_status_ = final_status;
       std::fprintf(stderr, "crowdtopk persist: %s\n",

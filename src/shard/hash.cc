@@ -8,21 +8,6 @@
 
 namespace crowdtopk::shard {
 
-Policy ParsePolicy(const std::string& name) {
-  if (name == "modulo") return Policy::kModulo;
-  return Policy::kRendezvous;
-}
-
-const char* PolicyName(Policy policy) {
-  switch (policy) {
-    case Policy::kRendezvous:
-      return "rendezvous";
-    case Policy::kModulo:
-      return "modulo";
-  }
-  return "rendezvous";
-}
-
 uint64_t KeyFingerprint(const PlacementKey& key) {
   // Length-prefixed field encoding: ("ab", "c") and ("a", "bc") must not
   // collide, and the universe id participates as raw bytes.
@@ -40,18 +25,9 @@ uint64_t RendezvousWeight(const PlacementKey& key, int64_t shard) {
                          static_cast<uint64_t>(shard));
 }
 
-std::vector<int64_t> RankShards(const PlacementKey& key, int64_t shards,
-                                Policy policy) {
+std::vector<int64_t> RankShards(const PlacementKey& key, int64_t shards) {
   CROWDTOPK_CHECK(shards >= 1);
   std::vector<int64_t> order(static_cast<size_t>(shards));
-  if (policy == Policy::kModulo) {
-    const int64_t primary =
-        static_cast<int64_t>(KeyFingerprint(key) % static_cast<uint64_t>(shards));
-    for (int64_t i = 0; i < shards; ++i) {
-      order[static_cast<size_t>(i)] = (primary + i) % shards;
-    }
-    return order;
-  }
   for (int64_t i = 0; i < shards; ++i) order[static_cast<size_t>(i)] = i;
   std::vector<uint64_t> weight(static_cast<size_t>(shards));
   for (int64_t i = 0; i < shards; ++i) {

@@ -2,19 +2,14 @@
 //
 // The router places every query on a shard by hashing its placement key —
 // (cache universe, dataset name, algorithm name) — so queries that could
-// share cached judgments land on the same shard. Two policies:
+// share cached judgments land on the same shard. Placement is
+// highest-random-weight (rendezvous) hashing: each shard's weight for a
+// key is SplitSeed(fingerprint(key), shard), and shards are ranked by
+// descending weight. Adding or removing a shard only moves the keys whose
+// top-ranked shard changed (~1/K of them); every other key keeps its
+// placement, which is what keeps shard-local caches warm across resizes.
 //
-//   * kRendezvous (default): highest-random-weight hashing. Each shard's
-//     weight for a key is SplitSeed(fingerprint(key), shard), and shards
-//     are ranked by descending weight. Adding or removing a shard only
-//     moves the keys whose top-ranked shard changed (~1/K of them); every
-//     other key keeps its placement, which is what keeps shard-local
-//     caches warm across resizes.
-//   * kModulo: fingerprint(key) % K, with the fallback order walking
-//     (primary + 1) % K, (primary + 2) % K, ... Simple, but a resize
-//     reshuffles almost every key.
-//
-// Both policies are pure functions of (key, shard count) — no state, no
+// Ranking is a pure function of (key, shard count) — no state, no
 // randomness — so routing is byte-reproducible across runs and across
 // processes.
 
@@ -26,16 +21,6 @@
 #include <vector>
 
 namespace crowdtopk::shard {
-
-enum class Policy {
-  kRendezvous,
-  kModulo,
-};
-
-// Parses a CROWDTOPK_SHARD_POLICY value; unknown names fall back to
-// rendezvous (util::ShardPolicy has already warned once by then).
-Policy ParsePolicy(const std::string& name);
-const char* PolicyName(Policy policy);
 
 // What placement hashes on. The universe id — not the Dataset pointer —
 // so in-process and remote routing agree, and so subset datasets that
@@ -55,8 +40,7 @@ uint64_t RendezvousWeight(const PlacementKey& key, int64_t shard);
 // Shard ids [0, shards) in routing-preference order, best first. The
 // router dispatches to the first *healthy* entry; failover walks down the
 // same list, so re-dispatch targets are as deterministic as the primary.
-std::vector<int64_t> RankShards(const PlacementKey& key, int64_t shards,
-                                Policy policy);
+std::vector<int64_t> RankShards(const PlacementKey& key, int64_t shards);
 
 }  // namespace crowdtopk::shard
 

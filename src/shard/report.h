@@ -4,10 +4,10 @@
 // ascending global-query-id order, exactly the columns that are pure
 // functions of (master seed, global id) — status, result items,
 // precision, microtasks, private rounds, expired/requeued assignments.
-// For a fixed master seed the bytes are identical for every shard count
-// and every placement policy, with or without shard deaths (as long as
-// every query completes), because placement only changes *where* a query
-// runs, never its seed streams. Deliberately excluded: the executing
+// For a fixed master seed the bytes are identical for every shard count,
+// with or without shard deaths (as long as every query completes),
+// because placement only changes *where* a query runs, never its seed
+// streams. Deliberately excluded: the executing
 // shard id (placement-dependent by construction) and the timing columns
 // (latency, observed rounds, queue wait — functions of what else shared
 // the shard's worker pool). Note the judgment cache must be off for

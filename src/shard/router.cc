@@ -50,9 +50,8 @@ std::vector<RoutedOutcome> ShardRouter::RouteBatch(
     std::vector<std::vector<RoutedQuery>> sub(static_cast<size_t>(shards));
     for (const Pending& p : pending) {
       const RoutedQuery& q = outcomes[p.index].query;
-      const std::vector<int64_t> prefs = RankShards(
-          PlacementKey{q.universe, q.dataset, q.algo}, shards,
-          options_.policy);
+      const std::vector<int64_t> prefs =
+          RankShards(PlacementKey{q.universe, q.dataset, q.algo}, shards);
       int64_t target = -1;
       for (const int64_t s : prefs) {
         if (!backends_[static_cast<size_t>(s)]->dead()) {

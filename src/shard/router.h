@@ -42,7 +42,6 @@
 namespace crowdtopk::shard {
 
 struct RouterOptions {
-  Policy policy = Policy::kRendezvous;
   // Re-dispatches allowed per query after shard deaths; exceeding it
   // fails the query with kResourceExhausted.
   int64_t max_redispatch = 2;

@@ -62,7 +62,6 @@ RouterEngine::RouterEngine(const net::ServerOptions& options,
     }
   }
   RouterOptions router_options;
-  router_options.policy = config_.policy;
   router_options.max_redispatch = config_.max_redispatch;
   router_options.cache_sync = config_.cache_sync;
   router_options.cache = options_.cache;

@@ -46,7 +46,6 @@ struct RouterEngineConfig {
   // Remote deployment: one crowdtopk_router endpoint per shard on
   // 127.0.0.1. Empty = in-process shards.
   std::vector<int64_t> ports;
-  Policy policy = Policy::kRendezvous;
   int64_t max_redispatch = 2;
   bool cache_sync = false;
   // Fault injection (CROWDTOPK_SHARD_FAIL/_FAIL_AFTER): local shard

@@ -412,9 +412,7 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
         std::make_unique<shard::LocalShardBackend>(backend_options));
   }
 
-  shard::RouterOptions router_options;
-  router_options.policy = shard::Policy::kRendezvous;
-  shard::ShardRouter router(router_options, std::move(backends));
+  shard::ShardRouter router(shard::RouterOptions(), std::move(backends));
 
   ShardReplay replay;
   replay.outcomes = router.RouteBatch(std::move(queries));
@@ -443,7 +441,7 @@ void CheckShardScatter(const Episode& episode, std::vector<Violation>* out) {
   const int64_t victim =
       shard::RankShards(
           shard::PlacementKey{first.universe, first.dataset, first.algo},
-          episode.shards, shard::Policy::kRendezvous)
+          episode.shards)
           .front();
   const ShardReplay killed = RunShardReplay(episode, episode.shards, victim);
 

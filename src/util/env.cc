@@ -90,6 +90,21 @@ std::string GetEnvString(const std::string& name,
   return value;
 }
 
+std::vector<std::string> SplitCsv(const std::string& list) {
+  std::vector<std::string> parts;
+  std::string current;
+  for (char c : list) {
+    if (c == ',') {
+      if (!current.empty()) parts.push_back(current);
+      current.clear();
+    } else if (c != ' ') {
+      current += c;
+    }
+  }
+  if (!current.empty()) parts.push_back(current);
+  return parts;
+}
+
 bool GetEnvBool(const std::string& name, bool fallback) {
   const char* value = std::getenv(name.c_str());
   if (value == nullptr || *value == '\0') return fallback;
@@ -165,19 +180,6 @@ int64_t NetDrainTimeoutMs() {
 int64_t ShardCount() {
   const int64_t shards = GetEnvInt64("CROWDTOPK_SHARDS", 1);
   return shards < 1 ? 1 : shards;
-}
-
-std::string ShardPolicy() {
-  const char* value = std::getenv("CROWDTOPK_SHARD_POLICY");
-  if (value == nullptr || *value == '\0') return "rendezvous";
-  const std::string policy = value;
-  if (policy != "rendezvous" && policy != "modulo") {
-    // Same strict-parse contract as the numeric knobs: a typo falls back
-    // to the default and warns once instead of silently routing wrong.
-    WarnBadValueOnce("CROWDTOPK_SHARD_POLICY", value, "placement policy");
-    return "rendezvous";
-  }
-  return policy;
 }
 
 bool ShardCacheSync() {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace crowdtopk::util {
 
@@ -25,6 +26,10 @@ double GetEnvDouble(const std::string& name, double fallback);
 
 // Reads a string env var; returns `fallback` if unset.
 std::string GetEnvString(const std::string& name, const std::string& fallback);
+
+// Splits a comma-separated list value ("spr, heapsort,") into its
+// non-empty fields; spaces are dropped everywhere.
+std::vector<std::string> SplitCsv(const std::string& list);
 
 // Reads a boolean env var. Unset/empty returns `fallback`; "0", "false",
 // "off", "no" (case-insensitive) are false; everything else is true.
@@ -139,12 +144,6 @@ int64_t NetDrainTimeoutMs();
 // are clamped to 1). For a fixed master seed the merged per-query result
 // table is byte-identical for every shard count.
 int64_t ShardCount();
-
-// Placement policy (CROWDTOPK_SHARD_POLICY): "rendezvous" (default,
-// highest-random-weight hashing — stable under shard add/remove) or
-// "modulo". Unknown values warn once on stderr and fall back, same
-// contract as the numeric knobs.
-std::string ShardPolicy();
 
 // CROWDTOPK_SHARD_CACHE_SYNC=1 turns on the barrier-aligned cross-shard
 // judgment-cache exchange (only meaningful with CROWDTOPK_CACHE=1).

@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "shard/router_engine.h"
+#include "telemetry/export.h"
 #include "util/env.h"
 #include "util/file_io.h"
 #include "util/status.h"
@@ -625,6 +628,16 @@ class RawConn {
 
   bool connected() const { return connected_; }
 
+  // Closes with an RST (zero linger), so no TIME_WAIT socket is left
+  // holding a loopback port.
+  void Reset() {
+    const linger abort_close{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort_close,
+                 sizeof(abort_close));
+    ::close(fd_);
+    fd_ = -1;
+  }
+
   void SendRaw(const std::string& bytes) {
     ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(bytes.size()));
@@ -767,6 +780,58 @@ TEST_F(NetE2ETest, SubmitBeforeHandshakeIsMalformed) {
   ASSERT_EQ(reply.type, MessageType::kError);
   EXPECT_EQ(reply.error.code, ErrorCode::kMalformed);
   EXPECT_TRUE(conn.AwaitEof());
+}
+
+// Per-connection net/conn<id>/* counters cover only the last 4096 closed
+// connections, so a long-lived traced server does not grow with every
+// connection it ever served.
+TEST_F(NetE2ETest, TraceKeepsTheLast4096ClosedConnections) {
+  const std::string dir = ::testing::TempDir() + "/net_conn_trace";
+  ASSERT_TRUE(util::EnsureDirectory(dir).ok());
+  ServerOptions options;
+  options.trace_dir = dir;
+  StartServer(options);
+  const auto await_conns = [this](int64_t accepted, int64_t active) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const StatsReply stats = server_->Stats();
+      if (stats.accepted_connections == accepted &&
+          stats.active_connections == active) {
+        return true;
+      }
+      std::this_thread::yield();
+    }
+    return false;
+  };
+  // One bare connection at a time, so the server closes them in id order.
+  for (int64_t i = 0; i < 4100; ++i) {
+    RawConn conn(server_->port());
+    ASSERT_TRUE(conn.connected());
+    ASSERT_TRUE(await_conns(i + 1, 1)) << i;
+    conn.Reset();
+    ASSERT_TRUE(await_conns(i + 1, 0)) << i;
+  }
+  StopServer();
+
+  const auto events =
+      telemetry::ReadJsonlFile(dir + "/net_server.trace.jsonl");
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  std::set<std::string> traced;
+  for (const telemetry::TraceEvent& event : *events) {
+    if (event.name.starts_with("net/conn") &&
+        event.name.ends_with("/frames_in")) {
+      traced.insert(event.name);
+    }
+  }
+  EXPECT_EQ(traced.size(), 4096u);
+  for (int64_t id = 0; id < 4; ++id) {
+    EXPECT_EQ(traced.count("net/conn" + std::to_string(id) + "/frames_in"),
+              0u)
+        << id;
+  }
+  EXPECT_EQ(traced.count("net/conn4/frames_in"), 1u);
+  EXPECT_EQ(traced.count("net/conn4099/frames_in"), 1u);
 }
 
 }  // namespace

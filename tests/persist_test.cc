@@ -21,6 +21,7 @@
 #include "serve/arrival.h"
 #include "serve/query_service.h"
 #include "serve/report.h"
+#include "util/crc32.h"
 #include "util/file_io.h"
 #include "util/status.h"
 
@@ -83,6 +84,7 @@ TEST(FormatTest, RecordCodecRoundTrips) {
   EXPECT_EQ(out.complete.items, (std::vector<int32_t>{3, 1, 4}));
 
   const cache::ExportedEntry entry = SampleEntry();
+  EXPECT_EQ(EncodeCacheInsert(entry).size(), 1 + kCacheEntryBytes);
   ASSERT_TRUE(DecodeRecord(EncodeCacheInsert(entry), &out));
   EXPECT_EQ(out.type, RecordType::kCacheInsert);
   EXPECT_EQ(out.cache_insert.universe, 3);
@@ -115,6 +117,20 @@ TEST(FormatTest, DecodeRejectsMalformedPayloads) {
   // Truncated body.
   const std::string admit = EncodeAdmit(123456789);
   EXPECT_FALSE(DecodeRecord(admit.substr(0, admit.size() - 1), &out));
+  // A complete record whose item count the payload cannot hold is
+  // rejected before anything is allocated for it.
+  for (const uint32_t count : {2u, 0xFFFFFFFFu}) {
+    Encoder enc;
+    enc.PutU8(static_cast<uint8_t>(RecordType::kComplete));
+    enc.PutI64(1);       // query_id
+    enc.PutU32(0);       // status_code
+    enc.PutI64(100);     // total_microtasks
+    enc.PutI64(3);       // rounds_private
+    enc.PutDouble(1.0);  // precision_at_k
+    enc.PutU32(count);
+    enc.PutI32(7);       // room for one item only
+    EXPECT_FALSE(DecodeRecord(enc.Take(), &out)) << count;
+  }
 }
 
 TEST(FormatTest, FileNamesRoundTrip) {
@@ -233,19 +249,20 @@ SnapshotData SampleSnapshot() {
   data.barrier.digest = 0x1234567890abcdefULL;
   data.config_fingerprint = 777;
   data.next_wal_segment = 3;
-  data.queued = {9, 10};
-  InflightDescriptor inflight;
-  inflight.query_id = 7;
-  inflight.admitted_round = 35;
-  data.inflight = {inflight};
-  CompleteRecord complete;
-  complete.query_id = 2;
-  complete.items = {5, 6};
-  complete.precision_at_k = 1.0;
-  data.completed = {complete};
-  data.rejected = {4};
   data.cache_entries = {SampleEntry()};
   return data;
+}
+
+// A snapshot file around `payload` whose header carries `version` and a
+// valid CRC, so only the version and payload checks can refuse it.
+std::string SnapshotFile(uint32_t version, const std::string& payload) {
+  Encoder enc;
+  enc.PutU64(kSnapshotMagic);
+  enc.PutU32(version);
+  enc.PutU32(0);  // flags
+  enc.PutU32(static_cast<uint32_t>(payload.size()));
+  enc.PutU32(util::Crc32(payload));
+  return enc.Take() + payload;
 }
 
 TEST(SnapshotTest, WriteReadRoundTripIsBitExact) {
@@ -263,12 +280,6 @@ TEST(SnapshotTest, WriteReadRoundTripIsBitExact) {
   EXPECT_EQ(loaded.barrier.digest, data.barrier.digest);
   EXPECT_EQ(loaded.config_fingerprint, 777u);
   EXPECT_EQ(loaded.next_wal_segment, 3);
-  EXPECT_EQ(loaded.queued, data.queued);
-  ASSERT_EQ(loaded.inflight.size(), 1u);
-  EXPECT_EQ(loaded.inflight[0].query_id, 7);
-  ASSERT_EQ(loaded.completed.size(), 1u);
-  EXPECT_EQ(loaded.completed[0].items, (std::vector<int32_t>{5, 6}));
-  EXPECT_EQ(loaded.rejected, data.rejected);
   ASSERT_EQ(loaded.cache_entries.size(), 1u);
   EXPECT_EQ(loaded.cache_entries[0].entry.mean, SampleEntry().entry.mean);
   EXPECT_EQ(loaded.cache_digest, CacheImageDigest(data.cache_entries));
@@ -280,10 +291,34 @@ TEST(SnapshotTest, CorruptSnapshotIsRejected) {
   ASSERT_TRUE(WriteSnapshot(path, SampleSnapshot(), nullptr).ok());
   std::string bytes;
   ASSERT_TRUE(util::ReadFileToString(path, &bytes).ok());
+  const std::string payload = bytes.substr(24);  // past the header
+  ASSERT_EQ(SnapshotFile(kSnapshotVersion, payload), bytes);
   bytes[bytes.size() - 3] ^= 0x01;
   ASSERT_TRUE(util::WriteFileAtomic(path, bytes).ok());
   SnapshotData loaded;
   EXPECT_FALSE(ReadSnapshot(path, &loaded).ok());
+
+  // An earlier snapshot version is refused even with a valid CRC.
+  ASSERT_TRUE(util::WriteFileAtomic(path, SnapshotFile(1, payload)).ok());
+  EXPECT_EQ(ReadSnapshot(path, &loaded).code(),
+            util::StatusCode::kInvalidArgument);
+
+  // A CRC-valid payload whose cache-entry count the remaining bytes cannot
+  // hold is refused before anything is allocated for it.
+  for (const uint32_t count : {2u, 0xFFFFFFFFu}) {
+    Encoder enc;
+    // Barrier record (six fields), config fingerprint, next WAL segment.
+    for (int field = 0; field < 8; ++field) enc.PutU64(0);
+    enc.PutU32(count);
+    EncodeCacheEntry(SampleEntry(), &enc);  // room for one entry only
+    enc.PutU64(0);                          // cache digest
+    ASSERT_TRUE(
+        util::WriteFileAtomic(path, SnapshotFile(kSnapshotVersion, enc.Take()))
+            .ok());
+    EXPECT_EQ(ReadSnapshot(path, &loaded).code(),
+              util::StatusCode::kInvalidArgument)
+        << count;
+  }
 }
 
 TEST(SnapshotTest, LoadLatestFallsBackOverCorruptNewest) {

@@ -94,31 +94,20 @@ std::vector<std::unique_ptr<ShardBackend>> MakeShards(
 // ----- placement hashing ---------------------------------------------------
 
 TEST(ShardHashTest, RankShardsIsDeterministicAndAPermutation) {
-  for (const Policy policy : {Policy::kRendezvous, Policy::kModulo}) {
-    for (int64_t shards = 1; shards <= 6; ++shards) {
-      for (int64_t u = 0; u < 8; ++u) {
-        const PlacementKey key{u, "ds" + std::to_string(u % 3),
-                               u % 2 == 0 ? "spr" : "heapsort"};
-        const std::vector<int64_t> a = RankShards(key, shards, policy);
-        const std::vector<int64_t> b = RankShards(key, shards, policy);
-        EXPECT_EQ(a, b) << "same inputs, different preference list";
-        std::vector<int64_t> sorted = a;
-        std::sort(sorted.begin(), sorted.end());
-        std::vector<int64_t> want(static_cast<size_t>(shards));
-        for (int64_t s = 0; s < shards; ++s) want[static_cast<size_t>(s)] = s;
-        EXPECT_EQ(sorted, want) << "not a permutation of [0, " << shards
-                                << ")";
-      }
+  for (int64_t shards = 1; shards <= 6; ++shards) {
+    for (int64_t u = 0; u < 8; ++u) {
+      const PlacementKey key{u, "ds" + std::to_string(u % 3),
+                             u % 2 == 0 ? "spr" : "heapsort"};
+      const std::vector<int64_t> a = RankShards(key, shards);
+      const std::vector<int64_t> b = RankShards(key, shards);
+      EXPECT_EQ(a, b) << "same inputs, different preference list";
+      std::vector<int64_t> sorted = a;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<int64_t> want(static_cast<size_t>(shards));
+      for (int64_t s = 0; s < shards; ++s) want[static_cast<size_t>(s)] = s;
+      EXPECT_EQ(sorted, want) << "not a permutation of [0, " << shards
+                              << ")";
     }
-  }
-}
-
-TEST(ShardHashTest, ModuloWalksFromThePrimary) {
-  const PlacementKey key{3, "imdb", "spr"};
-  const std::vector<int64_t> prefs = RankShards(key, 5, Policy::kModulo);
-  ASSERT_EQ(prefs.size(), 5u);
-  for (size_t i = 1; i < prefs.size(); ++i) {
-    EXPECT_EQ(prefs[i], (prefs[0] + static_cast<int64_t>(i)) % 5);
   }
 }
 
@@ -131,10 +120,8 @@ TEST(ShardHashTest, RendezvousIsStableUnderAddAndRemove) {
   constexpr int64_t kKeys = 64;
   for (int64_t u = 0; u < kKeys; ++u) {
     const PlacementKey key{u, "ds" + std::to_string(u), "spr"};
-    const std::vector<int64_t> before =
-        RankShards(key, 4, Policy::kRendezvous);
-    const std::vector<int64_t> after =
-        RankShards(key, 5, Policy::kRendezvous);
+    const std::vector<int64_t> before = RankShards(key, 4);
+    const std::vector<int64_t> after = RankShards(key, 5);
     // Restricted to the old shards, the order must be untouched.
     std::vector<int64_t> restricted;
     for (const int64_t s : after) {
@@ -148,32 +135,27 @@ TEST(ShardHashTest, RendezvousIsStableUnderAddAndRemove) {
   }
   // ~1/5 of keys move to the new shard; far fewer than a reshuffle. The
   // bound is loose (3x expectation) so the test never flakes on the fixed
-  // fingerprints, while still failing for modulo-style near-total moves.
+  // fingerprints, while still failing for a near-total reshuffle.
   EXPECT_LT(moved, kKeys * 3 / 5);
   EXPECT_GT(moved, 0) << "no key ever moves: the new shard would stay cold";
 }
 
 // ----- merged-table invariance ---------------------------------------------
 
-TEST(ShardRouterTest, MergedTableIdenticalAcrossShardCountsAndPolicies) {
+TEST(ShardRouterTest, MergedTableIdenticalAcrossShardCounts) {
   const Workload workload;
   std::string reference;
   for (const int64_t shards : {1, 2, 4}) {
-    for (const Policy policy : {Policy::kRendezvous, Policy::kModulo}) {
-      RouterOptions options;
-      options.policy = policy;
-      ShardRouter router(options, MakeShards(shards, BackendOptions()));
-      const std::vector<RoutedOutcome> outcomes =
-          router.RouteBatch(workload.Trace(8));
-      const std::string table = RenderMergedTable(outcomes);
-      if (reference.empty()) {
-        reference = table;
-        continue;
-      }
-      EXPECT_EQ(table, reference)
-          << "merged table depends on placement (shards=" << shards
-          << ", policy=" << PolicyName(policy) << ")";
+    ShardRouter router(RouterOptions(), MakeShards(shards, BackendOptions()));
+    const std::vector<RoutedOutcome> outcomes =
+        router.RouteBatch(workload.Trace(8));
+    const std::string table = RenderMergedTable(outcomes);
+    if (reference.empty()) {
+      reference = table;
+      continue;
     }
+    EXPECT_EQ(table, reference)
+        << "merged table depends on placement (shards=" << shards << ")";
   }
   EXPECT_NE(reference.find("gid,dataset,algo"), std::string::npos);
 }
@@ -203,7 +185,7 @@ TEST(ShardRouterTest, FailoverRedispatchesToSurvivorsByteIdentically) {
   const int64_t victim =
       RankShards(PlacementKey{trace[0].universe, trace[0].dataset,
                               trace[0].algo},
-                 4, Policy::kRendezvous)
+                 4)
           .front();
   ShardRouter router(options, MakeShards(4, BackendOptions(), victim));
   const std::vector<RoutedOutcome> outcomes = router.RouteBatch(trace);

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/env.h"
@@ -337,32 +339,31 @@ TEST(EnvTest, StringFallback) {
 }
 
 // The CROWDTOPK_SHARD_* knobs follow the same strict-parse contract as
-// the numeric ones: a typo'd policy warns once and falls back to
-// rendezvous instead of silently routing differently.
+// the other numeric ones: a typo warns once and falls back to the default.
 TEST(EnvTest, ShardKnobsParseStrictly) {
   internal::ResetEnvWarningsForTest();
   const int64_t before = internal::EnvWarningCountForTest();
-  ::setenv("CROWDTOPK_SHARD_POLICY", "roundrobin", 1);
-  EXPECT_EQ(ShardPolicy(), "rendezvous");
-  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 1);
-  ShardPolicy();  // consulted again (e.g. per-knob logging): no spam
-  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 1);
-  ::setenv("CROWDTOPK_SHARD_POLICY", "modulo", 1);
-  EXPECT_EQ(ShardPolicy(), "modulo");
-  ::unsetenv("CROWDTOPK_SHARD_POLICY");
-  EXPECT_EQ(ShardPolicy(), "rendezvous");
-
   ::setenv("CROWDTOPK_SHARDS", "0", 1);
   EXPECT_EQ(ShardCount(), 1);  // clamped, not an error
   ::setenv("CROWDTOPK_SHARDS", "four", 1);
   EXPECT_EQ(ShardCount(), 1);
-  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 2);
+  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 1);
   ::unsetenv("CROWDTOPK_SHARDS");
 
   ::setenv("CROWDTOPK_SHARD_REDISPATCH", "lots", 1);
   EXPECT_EQ(ShardRedispatch(), 2);
-  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 3);
+  EXPECT_EQ(internal::EnvWarningCountForTest(), before + 2);
   ::unsetenv("CROWDTOPK_SHARD_REDISPATCH");
+}
+
+// The comma-list knobs (CROWDTOPK_SERVE_ALGOS, ...): spaces vanish, and
+// empty fields, including a trailing one, are skipped.
+TEST(EnvTest, SplitCsvDropsSpacesAndEmptyFields) {
+  EXPECT_EQ(SplitCsv("spr, heap sort ,,tourtree,"),
+            (std::vector<std::string>{"spr", "heapsort", "tourtree"}));
+  EXPECT_EQ(SplitCsv("spr"), (std::vector<std::string>{"spr"}));
+  EXPECT_TRUE(SplitCsv("").empty());
+  EXPECT_TRUE(SplitCsv(" , ,").empty());
 }
 
 }  // namespace

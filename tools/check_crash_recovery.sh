@@ -13,6 +13,11 @@
 # degradation, not a crash), report dropped bytes, and still reproduce the
 # reference report byte-for-byte — corruption only lengthens catch-up.
 #
+# Job 3 — corrupted snapshot: flip a byte near the end of the newest
+# snapshot before resuming. Recovery must skip it (snapshots_skipped=1 on
+# the persist: line), fall back to the previous snapshot, exit 0, and
+# still reproduce the reference report byte-for-byte.
+#
 # Usage: tools/check_crash_recovery.sh <build_dir>
 set -eu
 
@@ -86,5 +91,31 @@ if ! grep -q "WAL tail damaged" "$work/corrupt_stderr.txt"; then
   echo "FAIL: resume did not warn about the damaged tail"; exit 1
 fi
 echo "   OK: clean exit, dropped bytes reported, report byte-identical"
+
+echo "== corrupted snapshot falls back to the previous one =="
+dir="$work/persist_snapshot"
+status=0
+env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
+    CROWDTOPK_JOBS=1 CROWDTOPK_PERSIST_DIR="$dir" \
+    CROWDTOPK_PERSIST_KILL_BARRIER="$kill_barrier" \
+    "$serve" > /dev/null 2>&1 || status=$?
+[ "$status" -eq 137 ] || { echo "FAIL: kill run exited $status"; exit 1; }
+
+snapshot="$(ls "$dir"/snapshot-*.snap | sort | tail -1)"
+size="$(stat -c%s "$snapshot")"
+printf '\xff' | dd of="$snapshot" bs=1 seek=$((size - 3)) conv=notrunc 2>/dev/null
+echo "   corrupted tail byte of $(basename "$snapshot")"
+
+run_serve 8 "$work/resumed_snapshot.jsonl" "$dir" --resume \
+  > "$work/snapshot_stdout.txt"
+if ! cmp -s "$work/reference.jsonl" "$work/resumed_snapshot.jsonl"; then
+  echo "FAIL: resume past a corrupt snapshot differs from reference"; exit 1
+fi
+if ! grep -q "snapshots_skipped=1 " "$work/snapshot_stdout.txt"; then
+  echo "FAIL: resume did not report the skipped snapshot"
+  grep "^persist:" "$work/snapshot_stdout.txt" || true
+  exit 1
+fi
+echo "   OK: clean exit, skipped snapshot reported, report byte-identical"
 
 echo "PASS: crash-recovery determinism checks"

@@ -38,8 +38,10 @@ run_once() {  # run_once <tag>
 
   local port=""
   for _ in $(seq 100); do
+    # The log may not exist yet; under `set -e` a failing sed would end
+    # the script and orphan the server.
     port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-        "$srv_log" 2>/dev/null)"
+        "$srv_log" 2>/dev/null || true)"
     [ -n "$port" ] && break
     sleep 0.1
   done

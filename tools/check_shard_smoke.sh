@@ -47,8 +47,10 @@ start_router() {
   pids="$pids $pid"
   port=""
   for _ in $(seq 100); do
+    # The log may not exist yet; under `set -e` a failing sed would end
+    # the script before the router printed its port.
     port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-        "$log" 2>/dev/null)"
+        "$log" 2>/dev/null || true)"
     [ -n "$port" ] && return
     sleep 0.1
   done

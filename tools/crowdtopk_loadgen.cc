@@ -68,21 +68,6 @@ Output knobs
 Exit codes: 0 all queries reached a terminal outcome, 1 transport failure.
 )";
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : list) {
-    if (c == ',') {
-      if (!current.empty()) parts.push_back(current);
-      current.clear();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  if (!current.empty()) parts.push_back(current);
-  return parts;
-}
-
 void Appendf(std::string* out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -139,7 +124,7 @@ int main(int argc, char** argv) {
   const int64_t k = util::GetEnvInt64("CROWDTOPK_LOADGEN_K", 10);
   const double alpha = util::GetEnvDouble("CROWDTOPK_LOADGEN_ALPHA", 0.02);
   const int64_t budget = util::GetEnvInt64("CROWDTOPK_LOADGEN_BUDGET", 0);
-  const std::vector<std::string> algos = SplitCsv(util::GetEnvString(
+  const std::vector<std::string> algos = util::SplitCsv(util::GetEnvString(
       "CROWDTOPK_LOADGEN_ALGOS", "spr,tourtree,heapsort,quickselect"));
   const int64_t workers =
       std::max<int64_t>(1, util::GetEnvInt64("CROWDTOPK_LOADGEN_WORKERS", 1));

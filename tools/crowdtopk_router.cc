@@ -41,7 +41,6 @@ refused with UNAVAILABLE.
 
 Sharding knobs
   CROWDTOPK_SHARDS            in-process engine shards       (default 1)
-  CROWDTOPK_SHARD_POLICY      rendezvous | modulo   (default rendezvous)
   CROWDTOPK_SHARD_PORTS       comma-separated ports of crowdtopk_router
                               processes started with the same seed;
                               overrides CROWDTOPK_SHARDS with one remote
@@ -149,7 +148,6 @@ int main(int argc, char** argv) {
 
   shard::RouterEngineConfig config;
   config.shards = util::ShardCount();
-  config.policy = shard::ParsePolicy(util::ShardPolicy());
   config.cache_sync = util::ShardCacheSync();
   config.max_redispatch = util::ShardRedispatch();
   config.fail_shard = util::ShardFail();
@@ -192,13 +190,12 @@ int main(int argc, char** argv) {
   // flush it before blocking in the event loop.
   std::printf("crowdtopk_router: listening on 127.0.0.1:%d\n", server.port());
   std::printf(
-      "crowdtopk_router: shards=%lld policy=%s remote=%d cache_sync=%d "
+      "crowdtopk_router: shards=%lld remote=%d cache_sync=%d "
       "max_redispatch=%lld seed=%llu cache=%d\n",
       static_cast<long long>(config.ports.empty()
                                  ? config.shards
                                  : static_cast<int64_t>(config.ports.size())),
-      shard::PolicyName(config.policy), config.ports.empty() ? 0 : 1,
-      config.cache_sync ? 1 : 0,
+      config.ports.empty() ? 0 : 1, config.cache_sync ? 1 : 0,
       static_cast<long long>(config.max_redispatch),
       static_cast<unsigned long long>(options.seed),
       options.cache.enabled ? 1 : 0);

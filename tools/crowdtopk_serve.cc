@@ -97,21 +97,6 @@ Exit codes: 0 ok (degraded resume included), 2 bad argument, unknown
 dataset or algorithm name, or persistence error, 3 catch-up divergence.
 )";
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : list) {
-    if (c == ',') {
-      if (!current.empty()) parts.push_back(current);
-      current.clear();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  if (!current.empty()) parts.push_back(current);
-  return parts;
-}
-
 // Reports a knob value that names no dataset or algorithm; exit code 2.
 int UnknownName(const char* knob, const std::string& value) {
   std::fprintf(stderr, "crowdtopk_serve: unknown %s '%s' (try --help)\n",
@@ -210,7 +195,7 @@ int main(int argc, char** argv) {
     return UnknownName("CROWDTOPK_SERVE_DATASET", dataset_name);
   }
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
-  for (const std::string& name : SplitCsv(algo_list)) {
+  for (const std::string& name : util::SplitCsv(algo_list)) {
     algorithms.push_back(baselines::MakeAlgorithm(name, comparison));
     if (algorithms.back() == nullptr) {
       return UnknownName("CROWDTOPK_SERVE_ALGOS entry", name);
@@ -293,12 +278,14 @@ int main(int argc, char** argv) {
     const persist::PersistCounters pc = service.persist_counters();
     std::printf(
         "\npersist: wal_records=%lld wal_segments=%lld snapshots=%lld"
-        " | resumed=%lld durable_barrier=%lld verified=%lld divergent=%lld"
-        " replayed_microtasks=%lld dropped_records=%lld dropped_bytes=%lld\n",
+        " | resumed=%lld snapshots_skipped=%lld durable_barrier=%lld"
+        " verified=%lld divergent=%lld replayed_microtasks=%lld"
+        " dropped_records=%lld dropped_bytes=%lld\n",
         static_cast<long long>(pc.wal_records),
         static_cast<long long>(pc.wal_segments),
         static_cast<long long>(pc.snapshots),
         static_cast<long long>(pc.resumed),
+        static_cast<long long>(pc.snapshots_skipped),
         static_cast<long long>(pc.durable_barrier),
         static_cast<long long>(pc.verified_barriers),
         static_cast<long long>(pc.divergent_barriers),

@@ -48,21 +48,6 @@ namespace {
 
 using namespace crowdtopk;
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : list) {
-    if (c == ',') {
-      if (!current.empty()) parts.push_back(current);
-      current.clear();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  if (!current.empty()) parts.push_back(current);
-  return parts;
-}
-
 judgment::Estimator ParseEstimator(const std::string& name) {
   if (name == "student") return judgment::Estimator::kStudent;
   if (name == "stein") return judgment::Estimator::kStein;
@@ -160,8 +145,8 @@ int main(int argc, char** argv) {
   const uint64_t seed = util::BenchSeed();
 
   const std::vector<std::string> alpha_names =
-      SplitCsv(util::GetEnvString("CROWDTOPK_VERIFY_ALPHAS", "0.05,0.1"));
-  const std::vector<std::string> estimator_names = SplitCsv(
+      util::SplitCsv(util::GetEnvString("CROWDTOPK_VERIFY_ALPHAS", "0.05,0.1"));
+  const std::vector<std::string> estimator_names = util::SplitCsv(
       util::GetEnvString("CROWDTOPK_VERIFY_ESTIMATORS",
                          "student,stein,hoeffding"));
   CROWDTOPK_CHECK(!alpha_names.empty() && !estimator_names.empty());
