@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,10 +50,11 @@ util::StatusOr<std::vector<std::string>> ReadLines(const std::string& path) {
   return lines;
 }
 
+// False on anything but a whole finite number (nan and inf included).
 bool ParseDouble(const std::string& field, double* out) {
   char* end = nullptr;
   *out = std::strtod(field.c_str(), &end);
-  return end != field.c_str() && *end == '\0';
+  return end != field.c_str() && *end == '\0' && std::isfinite(*out);
 }
 
 bool ParseId(const std::string& field, int64_t* out) {
@@ -114,11 +116,17 @@ util::StatusOr<std::unique_ptr<HistogramDataset>> LoadHistogramCsv(
     }
     VoteHistogram histogram;
     histogram.counts.resize(bins);
+    double total = 0.0;
     for (size_t b = 0; b < bins; ++b) {
       if (!ParseDouble(fields[b + 1], &histogram.counts[b]) ||
           histogram.counts[b] < 0) {
         return util::Status::InvalidArgument("bad vote count in: " + line);
       }
+      total += histogram.counts[b];
+    }
+    if (total == 0.0 || !std::isfinite(total)) {  // all-zero or overflowed
+      return util::Status::InvalidArgument(
+          "votes must sum to a positive finite total in: " + line);
     }
     rows.emplace_back(id, std::move(histogram));
   }

@@ -80,6 +80,8 @@ class Server::Impl {
       return util::Status::InvalidArgument(
           "ServerOptions::engine_factory is required");
     }
+    CROWDTOPK_RETURN_IF_ERROR(
+        serve::CheckScheduleOptions(options_.schedule, options_.max_inflight));
     if (::pipe(wake_pipe_) != 0) {
       return util::Status::Internal("pipe: " +
                                     std::string(std::strerror(errno)));

@@ -124,7 +124,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Binds 127.0.0.1:port, starts listening, and builds the engine.
-  // InvalidArgument when options.engine_factory is null.
+  // InvalidArgument when options.engine_factory is null or the schedule
+  // or max_inflight is out of range (serve::CheckScheduleOptions).
   util::Status Start();
 
   // Port actually bound (meaningful after Start; equals options.port

@@ -72,62 +72,36 @@ std::string EncodeCacheInsert(const cache::ExportedEntry& entry) {
   return enc.Take();
 }
 
+void EncodeBarrierFields(const BarrierRecord& record, Encoder* enc) {
+  enc->PutI64(record.barrier);
+  enc->PutI64(record.round);
+  enc->PutDouble(record.now_seconds);
+  enc->PutI64(record.next_arrival);
+  enc->PutI64(record.done);
+  enc->PutU64(record.digest);
+}
+
+bool DecodeBarrierFields(Decoder* dec, BarrierRecord* out) {
+  return dec->GetI64(&out->barrier) && dec->GetI64(&out->round) &&
+         dec->GetDouble(&out->now_seconds) &&
+         dec->GetI64(&out->next_arrival) && dec->GetI64(&out->done) &&
+         dec->GetU64(&out->digest);
+}
+
 std::string EncodeBarrier(const BarrierRecord& record) {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(RecordType::kBarrier));
-  enc.PutI64(record.barrier);
-  enc.PutI64(record.round);
-  enc.PutDouble(record.now_seconds);
-  enc.PutI64(record.next_arrival);
-  enc.PutI64(record.done);
-  enc.PutU64(record.digest);
+  EncodeBarrierFields(record, &enc);
   return enc.Take();
 }
 
 bool DecodeRecord(const std::string& payload, WalRecord* out) {
   Decoder dec(payload);
   uint8_t type = 0;
-  if (!dec.GetU8(&type)) return false;
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kAdmit:
-      out->type = RecordType::kAdmit;
-      return dec.GetI64(&out->query_id) && dec.remaining() == 0;
-    case RecordType::kReject:
-      out->type = RecordType::kReject;
-      return dec.GetI64(&out->query_id) && dec.remaining() == 0;
-    case RecordType::kComplete: {
-      out->type = RecordType::kComplete;
-      CompleteRecord& c = out->complete;
-      uint32_t item_count = 0;
-      if (!dec.GetI64(&c.query_id) || !dec.GetU32(&c.status_code) ||
-          !dec.GetI64(&c.total_microtasks) || !dec.GetI64(&c.rounds_private) ||
-          !dec.GetDouble(&c.precision_at_k) || !dec.GetU32(&item_count)) {
-        return false;
-      }
-      // Each item costs 4 bytes; a count the remaining bytes cannot hold
-      // is corruption, not a huge allocation.
-      if (item_count > dec.remaining() / sizeof(int32_t)) return false;
-      c.items.resize(item_count);
-      for (uint32_t i = 0; i < item_count; ++i) {
-        if (!dec.GetI32(&c.items[i])) return false;
-      }
-      return dec.remaining() == 0;
-    }
-    case RecordType::kCacheInsert:
-      out->type = RecordType::kCacheInsert;
-      return DecodeCacheEntry(&dec, &out->cache_insert) &&
-             dec.remaining() == 0;
-    case RecordType::kBarrier: {
-      out->type = RecordType::kBarrier;
-      BarrierRecord& b = out->barrier;
-      return dec.GetI64(&b.barrier) && dec.GetI64(&b.round) &&
-             dec.GetDouble(&b.now_seconds) && dec.GetI64(&b.next_arrival) &&
-             dec.GetI64(&b.done) && dec.GetU64(&b.digest) &&
-             dec.remaining() == 0;
-    }
-    default:
-      return false;
-  }
+  out->type = RecordType::kBarrier;
+  return dec.GetU8(&type) &&
+         type == static_cast<uint8_t>(RecordType::kBarrier) &&
+         DecodeBarrierFields(&dec, &out->barrier) && dec.remaining() == 0;
 }
 
 std::string WalSegmentName(int64_t seq) {

@@ -4,8 +4,8 @@
 //
 //   wal-<seq>.log        write-ahead log segments. A fixed header
 //                        (magic, version, segment index) followed by
-//                        length-prefixed records, each independently
-//                        CRC32-protected:
+//                        length-prefixed barrier records, each
+//                        independently CRC32-protected:
 //                            [u32 payload_len][u32 crc32][payload]
 //                        A record whose length or checksum does not verify
 //                        marks the torn tail: replay keeps everything
@@ -23,11 +23,11 @@
 // IEEE-754 bit patterns, so a restored value is bit-exact — the same
 // contract the judgment cache's Welford Restore path relies on.
 //
-// Record payloads start with a RecordType byte. Event records (admit /
+// Payloads start with a RecordType byte. The event encodings (admit /
 // reject / complete / cache-insert) describe what happened since the
-// previous barrier; a kBarrier record seals the batch and carries the
-// running FNV-1a digest of every event payload so far, which is what
-// recovery verifies catch-up re-execution against.
+// previous barrier; they are hashed into a running FNV-1a digest and never
+// stored. The WAL holds only kBarrier records, which carry that digest —
+// the value recovery verifies catch-up re-execution against.
 
 #ifndef CROWDTOPK_PERSIST_FORMAT_H_
 #define CROWDTOPK_PERSIST_FORMAT_H_
@@ -44,8 +44,9 @@ namespace crowdtopk::persist {
 
 inline constexpr uint64_t kWalMagic = 0x31304c4157344b54ULL;   // "TK4WAL01"
 inline constexpr uint64_t kSnapshotMagic = 0x50414e53344b54ULL;  // "TK4SNAP\0"
-// Version of the manifest and the WAL segment headers.
-inline constexpr uint32_t kFormatVersion = 1;
+// Version of the manifest and the WAL segment headers. Version 1 logs also
+// stored the event records; recovery refuses a version-1 directory.
+inline constexpr uint32_t kFormatVersion = 2;
 // Snapshot header version. A snapshot of any other version is refused
 // like any unreadable snapshot, and recovery falls back past it.
 inline constexpr uint32_t kSnapshotVersion = 2;
@@ -58,12 +59,12 @@ enum class RecordType : uint8_t {
   kReject = 2,       // query bounced at admission (queue overflow)
   kComplete = 3,     // query finished; durable outcome summary attached
   kCacheInsert = 4,  // one staged judgment-cache insert applied at a barrier
-  kBarrier = 5,      // seals the batch; carries the chained state digest
+  kBarrier = 5,      // seals a barrier; carries the chained state digest
 };
 
-// Outcome summary of a finished query. Its WAL record feeds the barrier
+// Outcome summary of a finished query. Its encoding feeds the barrier
 // digest, so catch-up checks every re-derived answer against it; timing
-// fields re-derive deterministically from replay and are not recorded.
+// fields re-derive deterministically from replay and are not hashed.
 struct CompleteRecord {
   int64_t query_id = 0;
   uint32_t status_code = 0;  // util::StatusCode
@@ -83,7 +84,8 @@ struct BarrierRecord {
   uint64_t digest = 0;       // chained FNV-1a over all event payloads
 };
 
-// One decoded WAL record; `type` says which member is meaningful.
+// One decoded WAL record; `type` says which member is meaningful. Version 2
+// logs hold only kBarrier records, so the event members are never filled.
 struct WalRecord {
   RecordType type = RecordType::kBarrier;
   int64_t query_id = 0;               // kAdmit / kReject
@@ -101,18 +103,27 @@ using Decoder = util::Decoder;
 
 // ----- record payload codecs ---------------------------------------------
 
+// Event encodings: the bytes the barrier digest hashes.
 std::string EncodeAdmit(int64_t query_id);
 std::string EncodeReject(int64_t query_id);
 std::string EncodeComplete(const CompleteRecord& record);
 std::string EncodeCacheInsert(const cache::ExportedEntry& entry);
+// The one stored record.
 std::string EncodeBarrier(const BarrierRecord& record);
 
-// Decodes one record payload (type byte included). False on malformed.
+// Decodes one WAL record payload (type byte included). False on malformed
+// bytes and on any type but kBarrier.
 bool DecodeRecord(const std::string& payload, WalRecord* out);
 
-// Serialises / parses a cache entry body (shared by WAL records and the
-// snapshot's cache image). The body has a fixed size: universe, kind, lo,
-// hi, outcome, decisive, alpha, count, mean, m2, first-stage count and sd.
+// Serialises / parses the six barrier fields (shared by WAL barrier
+// records and snapshots).
+void EncodeBarrierFields(const BarrierRecord& record, Encoder* enc);
+bool DecodeBarrierFields(Decoder* dec, BarrierRecord* out);
+
+// Serialises / parses a cache entry body (shared by the cache-insert event
+// encoding and the snapshot's cache image). The body has a fixed size:
+// universe, kind, lo, hi, outcome, decisive, alpha, count, mean, m2,
+// first-stage count and sd.
 inline constexpr size_t kCacheEntryBytes = 8 + 4 * 4 + 1 + 8 * 6;
 void EncodeCacheEntry(const cache::ExportedEntry& entry, Encoder* enc);
 bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out);

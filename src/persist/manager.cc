@@ -98,26 +98,8 @@ util::Status PersistenceManager::Open() {
   return util::Status::Ok();
 }
 
-void PersistenceManager::BufferEvent(std::string payload) {
-  if (!enabled()) return;
-  digest_ = util::Fnv1a64(payload.data(), payload.size(), digest_);
-  pending_.push_back(std::move(payload));
-}
-
-void PersistenceManager::OnAdmit(int64_t query_id) {
-  BufferEvent(EncodeAdmit(query_id));
-}
-
-void PersistenceManager::OnReject(int64_t query_id) {
-  BufferEvent(EncodeReject(query_id));
-}
-
-void PersistenceManager::OnComplete(const CompleteRecord& record) {
-  BufferEvent(EncodeComplete(record));
-}
-
-void PersistenceManager::OnCacheInsert(const cache::ExportedEntry& entry) {
-  BufferEvent(EncodeCacheInsert(entry));
+void PersistenceManager::OnEvent(const std::string& payload) {
+  if (enabled()) digest_ = util::Fnv1a64(payload, digest_);
 }
 
 void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
@@ -181,18 +163,11 @@ util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
 
   if (seq <= counters_.durable_barrier) {
     VerifyCatchup(record, source);
-    pending_.clear();
     return util::Status::Ok();
   }
-  if (halted_) {
-    pending_.clear();
-    return util::Status::Ok();
-  }
+  if (halted_) return util::Status::Ok();
 
-  pending_.push_back(EncodeBarrier(record));
-  const util::Status append = writer_->AppendBatch(pending_);
-  pending_.clear();
-  CROWDTOPK_RETURN_IF_ERROR(append);
+  CROWDTOPK_RETURN_IF_ERROR(writer_->AppendBatch({EncodeBarrier(record)}));
   counters_.wal_records = writer_->counters().records;
   counters_.wal_bytes = writer_->counters().bytes;
   counters_.wal_segments = writer_->counters().segments;

@@ -7,7 +7,7 @@
 // durable state adds on top of that re-execution:
 //
 //   * the durable frontier — barriers at or below it are *catch-up*:
-//     their batches are already on disk, nothing is appended, and the
+//     their records are already on disk, nothing is appended, and the
 //     crowd work they contain is accounted as replayed rather than
 //     re-purchased;
 //   * verification — each catch-up barrier's re-derived chained digest is
@@ -16,10 +16,10 @@
 //     digest), making "byte-identical warm state" a checked property
 //     instead of an assumption;
 //   * live durability past the frontier — one framed, CRC'd, optionally
-//     fsynced WAL batch per quiescence barrier, snapshots every
+//     fsynced WAL barrier record per quiescence barrier, snapshots every
 //     `snapshot_every` barriers, older artifacts pruned.
 //
-// The manager is driven from the service thread only (event hooks between
+// The manager is driven from the service thread only (OnEvent between
 // barriers, OnBarrier at each quiescence point); it has no locking of its
 // own. A manager with an empty `dir` is inert: every call is a cheap
 // no-op, so callers need no persistence-enabled branches.
@@ -112,15 +112,14 @@ class PersistenceManager {
     return next_barrier_ <= counters_.durable_barrier;
   }
 
-  // Event hooks; call between barriers in deterministic replay order.
-  void OnAdmit(int64_t query_id);
-  void OnReject(int64_t query_id);
-  void OnComplete(const CompleteRecord& record);
-  void OnCacheInsert(const cache::ExportedEntry& entry);
+  // Hashes one event encoding (an Encode* payload from format.h other than
+  // EncodeBarrier) into the running digest; nothing is stored. Call
+  // between barriers in the event order of docs/PERSISTENCE.md.
+  void OnEvent(const std::string& payload);
 
-  // Seals the current batch at a quiescence barrier: verifies during
-  // catch-up, appends + maybe snapshots when live. `round`, `now_seconds`,
-  // `next_arrival`, `done` describe the replay position.
+  // Seals the events since the previous barrier: verifies during catch-up,
+  // appends the barrier record + maybe snapshots when live. `round`,
+  // `now_seconds`, `next_arrival`, `done` describe the replay position.
   util::Status OnBarrier(int64_t round, double now_seconds,
                          int64_t next_arrival, int64_t done,
                          const CacheImageSource& source);
@@ -134,7 +133,6 @@ class PersistenceManager {
   }
 
  private:
-  void BufferEvent(std::string payload);
   // Checks a re-derived catch-up barrier against the durable record.
   void VerifyCatchup(const BarrierRecord& derived,
                      const CacheImageSource& source);
@@ -147,10 +145,9 @@ class PersistenceManager {
   std::unique_ptr<WalWriter> writer_;
   std::unique_ptr<RecoveredState> recovered_;
 
-  // Current batch: framed at the next barrier. The digest chains over
-  // event payloads only (not barrier records), restarting from the FNV
-  // offset basis at barrier 0 — identical for fresh and resumed runs.
-  std::vector<std::string> pending_;
+  // Chained over event payloads only (not barrier records), restarting
+  // from the FNV offset basis at barrier 0 — identical for fresh and
+  // resumed runs.
   uint64_t digest_;
 
   int64_t next_barrier_ = 0;

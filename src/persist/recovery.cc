@@ -64,9 +64,15 @@ util::Status ReadManifest(const std::string& dir, uint64_t* fingerprint) {
   uint32_t crc = 0;
   if (!dec.GetU64(&magic) || !dec.GetU32(&version) ||
       !dec.GetU64(fingerprint) || !dec.GetU32(&crc) || dec.remaining() != 0 ||
-      magic != kManifestMagic || version != kFormatVersion ||
+      magic != kManifestMagic ||
       util::Crc32(bytes.data(), bytes.size() - sizeof(uint32_t)) != crc) {
     return util::Status::InvalidArgument("manifest unreadable: " + path);
+  }
+  if (version != kFormatVersion) {
+    return util::Status::FailedPrecondition(
+        "persist dir " + dir + " has format version " +
+        std::to_string(version) + "; finish its run with the build that "
+        "wrote it, or delete the directory");
   }
   return util::Status::Ok();
 }
@@ -93,6 +99,11 @@ util::StatusOr<RecoveredState> Recover(const std::string& dir,
   uint64_t manifest_fingerprint = 0;
   const util::Status manifest_status =
       ReadManifest(dir, &manifest_fingerprint);
+  if (manifest_status.code() == util::StatusCode::kFailedPrecondition) {
+    // Another format version: refused before anything is repaired or
+    // deleted, since its segment headers would read as torn.
+    return manifest_status;
+  }
   if (manifest_status.ok()) {
     state.manifest_found = true;
     if (manifest_fingerprint != config_fingerprint) {
@@ -137,11 +148,6 @@ util::StatusOr<RecoveredState> Recover(const std::string& dir,
   if (!wal.detail.empty()) state.wal_detail = wal.detail;
 
   for (const WalRecord& record : wal.records) {
-    if (record.type != RecordType::kBarrier) continue;
-    // Event records between barriers are digested into the next barrier's
-    // record; only the barriers themselves anchor verification. Events
-    // after the last barrier belong to a batch that never sealed and are
-    // ignored (a batch is a single write, so this only happens at a tear).
     state.barriers[record.barrier.barrier] = record.barrier;
     state.durable_barrier =
         std::max(state.durable_barrier, record.barrier.barrier);

@@ -13,22 +13,6 @@ namespace {
 //   [u64 magic][u32 version][u32 flags][u32 payload_len][u32 crc32][payload]
 constexpr size_t kSnapshotHeaderSize = 8 + 4 + 4 + 4 + 4;
 
-void EncodeBarrierFields(const BarrierRecord& barrier, Encoder* enc) {
-  enc->PutI64(barrier.barrier);
-  enc->PutI64(barrier.round);
-  enc->PutDouble(barrier.now_seconds);
-  enc->PutI64(barrier.next_arrival);
-  enc->PutI64(barrier.done);
-  enc->PutU64(barrier.digest);
-}
-
-bool DecodeBarrierFields(Decoder* dec, BarrierRecord* barrier) {
-  return dec->GetI64(&barrier->barrier) && dec->GetI64(&barrier->round) &&
-         dec->GetDouble(&barrier->now_seconds) &&
-         dec->GetI64(&barrier->next_arrival) && dec->GetI64(&barrier->done) &&
-         dec->GetU64(&barrier->digest);
-}
-
 std::string EncodePayload(const SnapshotData& data, uint64_t cache_digest) {
   Encoder enc;
   EncodeBarrierFields(data.barrier, &enc);

@@ -100,20 +100,11 @@ bool ParseSegment(const std::string& bytes, int64_t seq,
   while (dec.remaining() > 0) {
     uint32_t len = 0;
     uint32_t crc = 0;
-    if (!dec.GetU32(&len) || !dec.GetU32(&crc) || len > kMaxRecordPayload ||
-        dec.remaining() < len) {
-      *bad_offset = good;
-      return false;
-    }
-    std::string payload(bytes.data() + (bytes.size() - dec.remaining()), len);
-    // Advance past the payload by re-slicing: Decoder has no skip, so pull
-    // the bytes through GetBytes via a throwaway buffer-free path.
-    for (uint32_t i = 0; i < len; ++i) {
-      uint8_t b;
-      dec.GetU8(&b);
-    }
+    std::string payload;
     WalRecord record;
-    if (util::Crc32(payload) != crc || !DecodeRecord(payload, &record)) {
+    if (!dec.GetU32(&len) || !dec.GetU32(&crc) || len > kMaxRecordPayload ||
+        !dec.GetRaw(len, &payload) || util::Crc32(payload) != crc ||
+        !DecodeRecord(payload, &record)) {
       *bad_offset = good;
       return false;
     }

@@ -1,7 +1,7 @@
 // Write-ahead log: segmented, CRC-framed, torn-tail tolerant.
 //
-// The serving layer appends one batch of records per quiescence barrier
-// (event records followed by the sealing kBarrier record) — a single
+// The serving layer appends one kBarrier record per quiescence barrier (the
+// barrier's events are hashed into its digest, not stored) — a single
 // write(2) and, with fsync enabled, a single fdatasync(2), so durability
 // costs one I/O round-trip per global round. Segments rotate at a size
 // threshold and immediately after every snapshot, which is what lets the

@@ -2,13 +2,16 @@
 
 #include <tuple>
 
+#include "serve/batch_scheduler.h"
 #include "util/check.h"
 
 namespace crowdtopk::serve {
 
 AssignmentTracker::AssignmentTracker(int64_t max_attempts)
     : max_attempts_(max_attempts) {
-  CROWDTOPK_CHECK_GE(max_attempts, 1);
+  ScheduleOptions options;
+  options.max_attempts = max_attempts;
+  CROWDTOPK_CHECK(CheckScheduleOptions(options).ok());
 }
 
 void AssignmentTracker::Enqueue(const Assignment& assignment) {

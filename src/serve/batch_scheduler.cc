@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "exec/parallel_for.h"
 #include "util/check.h"
@@ -17,22 +18,37 @@ constexpr uint64_t kLatencyStream = 0x6c61746e63790001ULL;
 
 }  // namespace
 
+util::Status CheckScheduleOptions(const ScheduleOptions& options,
+                                  int64_t max_inflight) {
+  const ScheduleOptions& o = options;
+  // Each condition is written so that a NaN fails it.
+  const std::pair<bool, const char*> checks[] = {
+      {o.crowd_workers >= 1, "crowd_workers must be >= 1"},
+      {o.per_pair_batch >= 1, "per_pair_batch must be >= 1"},
+      {o.mean_pickup_seconds >= 0.0, "mean_pickup_seconds must be >= 0"},
+      {o.mean_task_seconds > 0.0, "mean_task_seconds must be > 0"},
+      {o.task_time_sigma >= 0.0, "task_time_sigma must be >= 0"},
+      {o.abandon_probability >= 0.0 && o.abandon_probability <= 1.0,
+       "abandon_probability must be in [0, 1]"},
+      {o.no_show_probability >= 0.0 && o.no_show_probability <= 1.0,
+       "no_show_probability must be in [0, 1]"},
+      {o.deadline_seconds > 0.0, "deadline_seconds must be > 0"},
+      {o.max_attempts >= 1, "max_attempts must be >= 1"},
+      {max_inflight >= 1, "max_inflight must be >= 1"},
+  };
+  for (const auto& [ok, message] : checks) {
+    if (!ok) return util::Status::InvalidArgument(message);
+  }
+  return util::Status::Ok();
+}
+
 BatchScheduler::BatchScheduler(const ScheduleOptions& options, uint64_t seed,
                                exec::ThreadPool* pool)
     : options_(options),
       seed_(util::SplitSeed(seed, kLatencyStream)),
       pool_(pool),
       tracker_(options.max_attempts) {
-  CROWDTOPK_CHECK_GE(options.crowd_workers, 1);
-  CROWDTOPK_CHECK_GE(options.per_pair_batch, 1);
-  CROWDTOPK_CHECK(options.mean_task_seconds > 0.0);
-  CROWDTOPK_CHECK(options.task_time_sigma >= 0.0);
-  CROWDTOPK_CHECK(options.mean_pickup_seconds >= 0.0);
-  CROWDTOPK_CHECK(options.abandon_probability >= 0.0 &&
-                  options.abandon_probability <= 1.0);
-  CROWDTOPK_CHECK(options.no_show_probability >= 0.0 &&
-                  options.no_show_probability <= 1.0);
-  CROWDTOPK_CHECK(options.deadline_seconds > 0.0);
+  CROWDTOPK_CHECK(CheckScheduleOptions(options).ok());
   // Lognormal with mean m and sigma s has mu = ln(m) - s^2/2.
   lognormal_mu_ = std::log(options.mean_task_seconds) -
                   0.5 * options.task_time_sigma * options.task_time_sigma;

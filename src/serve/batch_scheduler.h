@@ -71,6 +71,13 @@ struct ScheduleOptions {
   int64_t max_attempts = 4;
 };
 
+// The one range check over the serving knobs: Ok, or InvalidArgument
+// naming the first field out of range. The BatchScheduler,
+// AssignmentTracker and QueryService constructors CHECK through it; tools
+// and net::Server::Start call it to refuse bad input with a message.
+util::Status CheckScheduleOptions(const ScheduleOptions& options,
+                                  int64_t max_inflight = 1);
+
 // Per-query serving statistics, readable once the query finished.
 struct QueryServeStats {
   int64_t admitted_round = 0;

@@ -81,7 +81,8 @@ uint64_t ConfigFingerprint(const ServeOptions& options,
 QueryService::QueryService(const ServeOptions& options)
     : options_(options),
       judgment_seed_(util::SplitSeed(options.seed, kJudgmentStream)) {
-  CROWDTOPK_CHECK_GE(options.max_inflight, 1);
+  CROWDTOPK_CHECK(
+      CheckScheduleOptions(options.schedule, options.max_inflight).ok());
   CROWDTOPK_CHECK_GE(options.jobs, 0);
 }
 
@@ -164,9 +165,6 @@ std::vector<QueryOutcome> QueryService::Replay(
   int64_t inflight = 0;
   int64_t done = 0;
 
-  // The judgment-cache image a snapshot stores and catch-up verifies.
-  const auto cache_image = [this] { return ExportCache(); };
-
   while (done < n) {
     // Move due arrivals into the admission queue (or reject on overflow).
     const double now = scheduler_->now_seconds();
@@ -180,7 +178,7 @@ std::vector<QueryOutcome> QueryService::Replay(
             "admission queue full (max_queue=" +
             std::to_string(options_.max_queue) + ")");
         ++done;
-        if (persist_ != nullptr) persist_->OnReject(id);
+        if (persist_ != nullptr) persist_->OnEvent(persist::EncodeReject(id));
         continue;
       }
       admission.push_back(id);
@@ -195,59 +193,19 @@ std::vector<QueryOutcome> QueryService::Replay(
                                  : id;
       scheduler_->AdmitQuery(id, stream);
       ++inflight;
-      if (persist_ != nullptr) persist_->OnAdmit(id);
+      if (persist_ != nullptr) persist_->OnEvent(persist::EncodeAdmit(id));
       drivers.emplace_back([this, id] { DriverMain(id); });
     }
 
     scheduler_->WaitQuiescent();
-    // All drivers are parked or finished here: apply this round's staged
-    // cache inserts so the next round's lookups see them. The applied list
-    // (query-id order) is exactly the WAL's cache-insert sequence.
-    if (cache_ != nullptr) {
-      std::vector<cache::ExportedEntry> applied;
-      cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
-      for (const cache::ExportedEntry& entry : applied) {
-        persist_->OnCacheInsert(entry);
-      }
-    }
+    // DrainFinished returns completion-callback order, which depends on
+    // thread timing; the complete events want the deterministic query-id
+    // order.
     std::vector<int64_t> finished = scheduler_->DrainFinished();
+    std::sort(finished.begin(), finished.end());
     inflight -= static_cast<int64_t>(finished.size());
     done += static_cast<int64_t>(finished.size());
-    if (persist_ != nullptr) {
-      // DrainFinished returns completion-callback order, which depends on
-      // thread timing; the WAL's complete events want the deterministic
-      // query-id order.
-      std::sort(finished.begin(), finished.end());
-      for (const int64_t id : finished) {
-        persist::CompleteRecord record;
-        record.query_id = id;
-        record.status_code =
-            static_cast<uint32_t>(scheduler_->QueryStats(id).status.code());
-        const QueryOutcome& o = outcomes_[id];
-        record.total_microtasks = o.total_microtasks;
-        record.rounds_private = o.rounds_private;
-        record.precision_at_k = o.precision_at_k;
-        record.items.assign(o.items.begin(), o.items.end());
-        persist_->OnComplete(record);
-      }
-    }
-    // Quiescence barrier: seal this iteration's events. During catch-up
-    // this verifies the re-derived digest against the durable record;
-    // live, it appends one WAL batch (and maybe a snapshot).
-    if (persist_ != nullptr) {
-      const bool was_catchup = persist_->in_catchup();
-      const util::Status barrier_status =
-          persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                              next_arrival, done, cache_image);
-      if (!barrier_status.ok() && persist_status_.ok()) {
-        persist_status_ = barrier_status;
-        std::fprintf(stderr, "crowdtopk persist: %s\n",
-                     barrier_status.ToString().c_str());
-      }
-      if (was_catchup && !persist_->in_catchup()) {
-        replayed_microtasks_ = scheduler_->assignment_stats().completed;
-      }
-    }
+    SealBarrier(finished, next_arrival, done);
     if (!finished.empty()) {
       continue;  // freed slots admit waiting queries before the next round
     }
@@ -264,30 +222,10 @@ std::vector<QueryOutcome> QueryService::Replay(
   for (std::thread& t : drivers) t.join();
   // Final barrier: fold the last round's publications into the stats, seal
   // them durably, and write the complete snapshot.
-  if (cache_ != nullptr) {
-    std::vector<cache::ExportedEntry> applied;
-    cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
-    for (const cache::ExportedEntry& entry : applied) {
-      persist_->OnCacheInsert(entry);
-    }
+  if (SealBarrier({}, next_arrival, done).ok() && persist_ != nullptr) {
+    KeepPersistError(persist_->Finalize([this] { return ExportCache(); }));
   }
-  if (persist_ != nullptr) {
-    const bool was_catchup = persist_->in_catchup();
-    util::Status final_status =
-        persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                            next_arrival, done, cache_image);
-    if (was_catchup && !persist_->in_catchup()) {
-      // The whole replay was catch-up (resume of an already-complete run).
-      replayed_microtasks_ = scheduler_->assignment_stats().completed;
-    }
-    if (final_status.ok()) final_status = persist_->Finalize(cache_image);
-    if (!final_status.ok() && persist_status_.ok()) {
-      persist_status_ = final_status;
-      std::fprintf(stderr, "crowdtopk persist: %s\n",
-                   final_status.ToString().c_str());
-    }
-    WritePersistTrace();
-  }
+  if (persist_ != nullptr) WritePersistTrace();
 
   for (int64_t id = 0; id < n; ++id) {
     QueryOutcome& o = outcomes_[id];
@@ -311,6 +249,51 @@ std::vector<QueryOutcome> QueryService::Replay(
   makespan_seconds_ = scheduler_->now_seconds();
   total_rounds_ = scheduler_->round();
   return outcomes_;
+}
+
+util::Status QueryService::SealBarrier(const std::vector<int64_t>& finished,
+                                      int64_t next_arrival, int64_t done) {
+  // All drivers are parked or finished here: apply this round's staged
+  // cache inserts so the next round's lookups see them. The applied list
+  // (query-id order) is exactly the digest's cache-insert sequence.
+  std::vector<cache::ExportedEntry> applied;
+  if (cache_ != nullptr) {
+    cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
+  }
+  if (persist_ == nullptr) return util::Status::Ok();
+  for (const cache::ExportedEntry& entry : applied) {
+    persist_->OnEvent(persist::EncodeCacheInsert(entry));
+  }
+  for (const int64_t id : finished) {
+    persist::CompleteRecord record;
+    record.query_id = id;
+    record.status_code =
+        static_cast<uint32_t>(scheduler_->QueryStats(id).status.code());
+    const QueryOutcome& o = outcomes_[id];
+    record.total_microtasks = o.total_microtasks;
+    record.rounds_private = o.rounds_private;
+    record.precision_at_k = o.precision_at_k;
+    record.items.assign(o.items.begin(), o.items.end());
+    persist_->OnEvent(persist::EncodeComplete(record));
+  }
+  // Quiescence barrier: seal this iteration's events. During catch-up
+  // this verifies the re-derived digest against the durable record; live,
+  // it appends one WAL barrier record (and maybe a snapshot).
+  const bool was_catchup = persist_->in_catchup();
+  const util::Status status =
+      persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
+                          next_arrival, done, [this] { return ExportCache(); });
+  if (was_catchup && !persist_->in_catchup()) {
+    replayed_microtasks_ = scheduler_->assignment_stats().completed;
+  }
+  KeepPersistError(status);
+  return status;
+}
+
+void QueryService::KeepPersistError(const util::Status& status) {
+  if (status.ok() || !persist_status_.ok()) return;
+  persist_status_ = status;
+  std::fprintf(stderr, "crowdtopk persist: %s\n", status.ToString().c_str());
 }
 
 cache::CacheStats QueryService::cache_stats() const {

@@ -174,7 +174,6 @@ void CheckWalFrontier(const std::string& dir, std::vector<Violation>* out) {
   }
   const persist::BarrierRecord* prev = nullptr;
   for (const persist::WalRecord& record : read.value().records) {
-    if (record.type != persist::RecordType::kBarrier) continue;
     const persist::BarrierRecord& b = record.barrier;
     if (prev != nullptr) {
       if (b.barrier <= prev->barrier) {

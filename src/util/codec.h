@@ -67,7 +67,11 @@ class Decoder {
   }
   bool GetString(std::string* v) {
     uint32_t size;
-    if (!GetU32(&size) || size_ - offset_ < size) return false;
+    return GetU32(&size) && GetRaw(size, v);
+  }
+  // Copies the next `size` bytes into `v` and advances past them.
+  bool GetRaw(size_t size, std::string* v) {
+    if (size_ - offset_ < size) return false;
     v->assign(data_ + offset_, size);
     offset_ += size;
     return true;

@@ -48,11 +48,18 @@ TEST(HistogramIoTest, RoundTripPreservesJudgmentDistribution) {
 
 TEST(HistogramIoTest, RejectsBadColumnCount) {
   const std::string path = TempPath("bad_cols.csv");
-  WriteFile(path, "item_id,votes_bin1,votes_bin2\n0,1,2\n1,3\n");
   HistogramDataset::Options options;
   options.bin_values = {1.0, 2.0};
-  const auto result = LoadHistogramCsv(path, "x", options);
-  EXPECT_FALSE(result.ok());
+  // A short row, a non-finite vote count, and a row whose votes sum to 0
+  // are each refused with the offending line named.
+  for (const std::string bad_row : {"1,3", "1,nan,2", "1,inf,2", "1,0,0"}) {
+    WriteFile(path, "item_id,votes_bin1,votes_bin2\n0,1,2\n" + bad_row + "\n");
+    const auto result = LoadHistogramCsv(path, "x", options);
+    ASSERT_FALSE(result.ok()) << bad_row;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(bad_row), std::string::npos)
+        << result.status().message();
+  }
   std::remove(path.c_str());
 }
 
@@ -83,6 +90,18 @@ TEST(ScoresIoTest, RoundTrip) {
   ASSERT_EQ(static_cast<int64_t>(scores->size()), dataset->num_items());
   for (ItemId i = 0; i < dataset->num_items(); ++i) {
     EXPECT_NEAR((*scores)[i], dataset->TrueScore(i), 1e-9);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ScoresIoTest, RejectsNonFiniteScores) {
+  const std::string path = TempPath("bad_scores.csv");
+  for (const std::string bad_row : {"1,nan", "1,-inf", "1,x"}) {
+    WriteFile(path, "item_id,score\n0,1.5\n" + bad_row + "\n");
+    const auto scores = LoadScoresCsv(path);
+    ASSERT_FALSE(scores.ok()) << bad_row;
+    EXPECT_EQ(scores.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(scores.status().message().find(bad_row), std::string::npos);
   }
   std::remove(path.c_str());
 }
@@ -137,6 +156,12 @@ TEST(PairwiseIoTest, RejectsMissingPairsAndBadValues) {
   EXPECT_FALSE(LoadPairwiseCsv(path, "x", {1.0, 2.0}).ok());
   WriteFile(path, "left_id,right_id,preference\n0,0,0.5\n");
   EXPECT_FALSE(LoadPairwiseCsv(path, "x", {1.0, 2.0}).ok());
+  // A non-finite preference is refused, naming the line.
+  WriteFile(path, "left_id,right_id,preference\n0,1,nan\n");
+  const auto nan_preference = LoadPairwiseCsv(path, "x", {1.0, 2.0});
+  ASSERT_FALSE(nan_preference.ok());
+  EXPECT_NE(nan_preference.status().message().find("0,1,nan"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -60,40 +60,7 @@ cache::ExportedEntry SampleEntry() {
 
 // ------------------------------------------------------------- format
 
-TEST(FormatTest, RecordCodecRoundTrips) {
-  WalRecord out;
-  ASSERT_TRUE(DecodeRecord(EncodeAdmit(17), &out));
-  EXPECT_EQ(out.type, RecordType::kAdmit);
-  EXPECT_EQ(out.query_id, 17);
-
-  ASSERT_TRUE(DecodeRecord(EncodeReject(5), &out));
-  EXPECT_EQ(out.type, RecordType::kReject);
-  EXPECT_EQ(out.query_id, 5);
-
-  CompleteRecord complete;
-  complete.query_id = 8;
-  complete.status_code = 0;
-  complete.total_microtasks = 4242;
-  complete.rounds_private = 12;
-  complete.precision_at_k = 0.75;
-  complete.items = {3, 1, 4};
-  ASSERT_TRUE(DecodeRecord(EncodeComplete(complete), &out));
-  EXPECT_EQ(out.type, RecordType::kComplete);
-  EXPECT_EQ(out.complete.query_id, 8);
-  EXPECT_EQ(out.complete.total_microtasks, 4242);
-  EXPECT_EQ(out.complete.items, (std::vector<int32_t>{3, 1, 4}));
-
-  const cache::ExportedEntry entry = SampleEntry();
-  EXPECT_EQ(EncodeCacheInsert(entry).size(), 1 + kCacheEntryBytes);
-  ASSERT_TRUE(DecodeRecord(EncodeCacheInsert(entry), &out));
-  EXPECT_EQ(out.type, RecordType::kCacheInsert);
-  EXPECT_EQ(out.cache_insert.universe, 3);
-  EXPECT_EQ(out.cache_insert.lo, 4);
-  EXPECT_EQ(out.cache_insert.hi, 9);
-  // Bit-exact doubles (the Welford-restore contract).
-  EXPECT_EQ(out.cache_insert.entry.mean, entry.entry.mean);
-  EXPECT_EQ(out.cache_insert.entry.m2, entry.entry.m2);
-
+BarrierRecord SampleBarrier() {
   BarrierRecord barrier;
   barrier.barrier = 41;
   barrier.round = 99;
@@ -101,10 +68,32 @@ TEST(FormatTest, RecordCodecRoundTrips) {
   barrier.next_arrival = 7;
   barrier.done = 6;
   barrier.digest = 0xdeadbeefcafef00dULL;
+  return barrier;
+}
+
+TEST(FormatTest, RecordCodecRoundTrips) {
+  WalRecord out;
+  // Event encodings feed the digest only; the WAL never stores them, so
+  // the decoder refuses each one.
+  CompleteRecord complete;
+  complete.query_id = 8;
+  complete.total_microtasks = 4242;
+  complete.items = {3, 1, 4};
+  EXPECT_FALSE(DecodeRecord(EncodeAdmit(17), &out));
+  EXPECT_FALSE(DecodeRecord(EncodeReject(5), &out));
+  EXPECT_FALSE(DecodeRecord(EncodeComplete(complete), &out));
+  EXPECT_FALSE(DecodeRecord(EncodeCacheInsert(SampleEntry()), &out));
+  // The digest hashes these bytes, so their size is pinned.
+  EXPECT_EQ(EncodeCacheInsert(SampleEntry()).size(), 1 + kCacheEntryBytes);
+
+  const BarrierRecord barrier = SampleBarrier();
   ASSERT_TRUE(DecodeRecord(EncodeBarrier(barrier), &out));
   EXPECT_EQ(out.type, RecordType::kBarrier);
   EXPECT_EQ(out.barrier.barrier, 41);
+  EXPECT_EQ(out.barrier.round, 99);
   EXPECT_EQ(out.barrier.now_seconds, 123.456);
+  EXPECT_EQ(out.barrier.next_arrival, 7);
+  EXPECT_EQ(out.barrier.done, 6);
   EXPECT_EQ(out.barrier.digest, 0xdeadbeefcafef00dULL);
 }
 
@@ -113,12 +102,12 @@ TEST(FormatTest, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(DecodeRecord("", &out));
   EXPECT_FALSE(DecodeRecord("\x07", &out));  // unknown type byte
   // Trailing garbage after a well-formed record is corruption too.
-  EXPECT_FALSE(DecodeRecord(EncodeAdmit(1) + "x", &out));
+  const std::string barrier = EncodeBarrier(SampleBarrier());
+  EXPECT_FALSE(DecodeRecord(barrier + "x", &out));
   // Truncated body.
-  const std::string admit = EncodeAdmit(123456789);
-  EXPECT_FALSE(DecodeRecord(admit.substr(0, admit.size() - 1), &out));
-  // A complete record whose item count the payload cannot hold is
-  // rejected before anything is allocated for it.
+  EXPECT_FALSE(DecodeRecord(barrier.substr(0, barrier.size() - 1), &out));
+  // A complete record, whatever item count it claims, is refused by type
+  // before anything is allocated for it.
   for (const uint32_t count : {2u, 0xFFFFFFFFu}) {
     Encoder enc;
     enc.PutU8(static_cast<uint8_t>(RecordType::kComplete));
@@ -146,6 +135,15 @@ TEST(FormatTest, FileNamesRoundTrip) {
 
 // ---------------------------------------------------------------- wal
 
+// One WAL batch: the barrier records `first` and `first` + 1.
+std::vector<std::string> BarrierPair(int64_t first) {
+  BarrierRecord a;
+  a.barrier = first;
+  BarrierRecord b;
+  b.barrier = first + 1;
+  return {EncodeBarrier(a), EncodeBarrier(b)};
+}
+
 TEST(WalTest, AppendReadRoundTripAcrossRotation) {
   const std::string dir = FreshDir("wal_round_trip");
   WalWriterOptions options;
@@ -154,28 +152,20 @@ TEST(WalTest, AppendReadRoundTripAcrossRotation) {
   options.fsync = false;
   WalWriter writer(options, /*start_segment=*/0);
 
-  std::vector<std::string> expected;
-  for (int64_t b = 0; b < 10; ++b) {
-    std::vector<std::string> batch = {EncodeAdmit(b)};
-    BarrierRecord barrier;
-    barrier.barrier = b;
-    batch.push_back(EncodeBarrier(barrier));
-    expected.insert(expected.end(), batch.begin(), batch.end());
-    ASSERT_TRUE(writer.AppendBatch(batch).ok());
+  for (int64_t b = 0; b < 20; b += 2) {
+    ASSERT_TRUE(writer.AppendBatch(BarrierPair(b)).ok());
   }
   EXPECT_GT(writer.counters().segments, 1);
 
   const auto read = ReadWal(dir, 0);
   ASSERT_TRUE(read.ok());
   EXPECT_FALSE(read->truncated);
-  ASSERT_EQ(read->records.size(), expected.size());
+  ASSERT_EQ(read->records.size(), 20u);
   int64_t barriers_seen = 0;
   for (const WalRecord& record : read->records) {
-    if (record.type == RecordType::kBarrier) {
-      EXPECT_EQ(record.barrier.barrier, barriers_seen++);
-    }
+    EXPECT_EQ(record.type, RecordType::kBarrier);
+    EXPECT_EQ(record.barrier.barrier, barriers_seen++);
   }
-  EXPECT_EQ(barriers_seen, 10);
 }
 
 TEST(WalTest, TornTailKeepsPrefixAndDropsBeyond) {
@@ -185,11 +175,8 @@ TEST(WalTest, TornTailKeepsPrefixAndDropsBeyond) {
   options.segment_bytes = 64;  // several segments
   options.fsync = false;
   WalWriter writer(options, 0);
-  for (int64_t b = 0; b < 8; ++b) {
-    BarrierRecord barrier;
-    barrier.barrier = b;
-    ASSERT_TRUE(writer.AppendBatch({EncodeAdmit(b), EncodeBarrier(barrier)})
-                    .ok());
+  for (int64_t b = 0; b < 16; b += 2) {
+    ASSERT_TRUE(writer.AppendBatch(BarrierPair(b)).ok());
   }
   ASSERT_GT(MaxWalSegment(dir), 0);
 
@@ -209,11 +196,9 @@ TEST(WalTest, TornTailKeepsPrefixAndDropsBeyond) {
   // Every surviving barrier is a strict prefix 0,1,...
   int64_t next = 0;
   for (const WalRecord& record : read->records) {
-    if (record.type == RecordType::kBarrier) {
-      EXPECT_EQ(record.barrier.barrier, next++);
-    }
+    EXPECT_EQ(record.barrier.barrier, next++);
   }
-  EXPECT_LT(next, 8);
+  EXPECT_LT(next, 16);
 
   // Repair truncates the torn segment and deletes later ones; the next
   // read is clean and sees exactly the surviving prefix.
@@ -373,8 +358,7 @@ TEST(RecoveryTest, RecoversFrontierFromWalAndSnapshot) {
     BarrierRecord barrier;
     barrier.barrier = b;
     barrier.digest = 1000 + static_cast<uint64_t>(b);
-    ASSERT_TRUE(writer.AppendBatch({EncodeAdmit(b), EncodeBarrier(barrier)})
-                    .ok());
+    ASSERT_TRUE(writer.AppendBatch({EncodeBarrier(barrier)}).ok());
   }
 
   const auto recovered = Recover(dir, 1ULL);
@@ -385,6 +369,44 @@ TEST(RecoveryTest, RecoversFrontierFromWalAndSnapshot) {
   EXPECT_EQ(recovered->barriers.at(2).digest, 1002u);
   // Live appends must land in a fresh segment past everything on disk.
   EXPECT_GT(recovered->next_wal_segment, MaxWalSegment(dir));
+}
+
+// A version-1 directory (its WAL also stored event records) is refused
+// before recovery repairs or deletes anything: its segment headers would
+// otherwise read as a torn tail and be removed.
+TEST(RecoveryTest, RefusesFormatVersion1DirectoryUntouched) {
+  const std::string dir = FreshDir("recovery_v1");
+  Encoder manifest;
+  manifest.PutU64(0x46494e414d344b54ULL);  // "TK4MANIF"
+  manifest.PutU32(1);
+  manifest.PutU64(7);  // config fingerprint
+  manifest.PutU32(util::Crc32(manifest.buffer()));
+  Encoder header;
+  header.PutU64(kWalMagic);
+  header.PutU32(1);
+  header.PutI64(0);  // segment index
+  std::string segment = header.Take();
+  FrameRecord(EncodeAdmit(0), &segment);
+  FrameRecord(EncodeBarrier(BarrierRecord()), &segment);
+  const std::string manifest_path = dir + "/manifest.bin";
+  const std::string segment_path = dir + "/" + WalSegmentName(0);
+  ASSERT_TRUE(util::WriteFileAtomic(manifest_path, manifest.buffer()).ok());
+  ASSERT_TRUE(util::WriteFileAtomic(segment_path, segment).ok());
+
+  const auto recovered = Recover(dir, 7);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(recovered.status().message().find("format version 1"),
+            std::string::npos)
+      << recovered.status().message();
+  std::string bytes;
+  ASSERT_TRUE(util::ReadFileToString(manifest_path, &bytes).ok());
+  EXPECT_EQ(bytes, manifest.buffer());
+  ASSERT_TRUE(util::ReadFileToString(segment_path, &bytes).ok());
+  EXPECT_EQ(bytes, segment);
+  std::vector<std::string> files;
+  ASSERT_TRUE(util::ListDirectoryFiles(dir, &files).ok());
+  EXPECT_EQ(files.size(), 2u);
 }
 
 // --------------------------------------------------- end-to-end serve
@@ -402,7 +424,8 @@ struct ReplayResult {
 ReplayResult RunReplay(const std::string& persist_dir, bool resume,
                        int64_t halt_after_barrier, int64_t jobs,
                        bool with_cache = false,
-                       std::vector<cache::ExportedEntry> warm = {}) {
+                       std::vector<cache::ExportedEntry> warm = {},
+                       int64_t snapshot_every = 4) {
   static const auto dataset = data::MakeUniformLadder(12, 1.0, 0.8);
   static judgment::ComparisonOptions comparison;
   static baselines::HeapSortTopK algorithm(comparison);
@@ -425,7 +448,7 @@ ReplayResult RunReplay(const std::string& persist_dir, bool resume,
   options.warm_cache = std::move(warm);
   options.persist.dir = persist_dir;
   options.persist.resume = resume;
-  options.persist.snapshot_every = 4;
+  options.persist.snapshot_every = snapshot_every;
   options.persist.wal_fsync = false;  // keep the suite fast
   options.persist.halt_after_barrier = halt_after_barrier;
 
@@ -482,6 +505,37 @@ TEST(PersistEndToEndTest, HaltAndResumeIsByteIdentical) {
     EXPECT_EQ(resumed.counters.divergent_barriers, 0);
     EXPECT_EQ(resumed.counters.cache_image_divergent, 0);
     EXPECT_GT(resumed.replayed_microtasks, 0);
+  }
+}
+
+// The WAL stores one barrier record per sealed barrier and nothing else:
+// a cached replay that takes no snapshot and stops persisting after its
+// last barrier leaves exactly barriers 0..N on disk.
+TEST(PersistEndToEndTest, WalHoldsOnlyBarrierRecords) {
+  const std::string dir = FreshDir("persist_barrier_only");
+  const ReplayResult full = RunReplay(dir, false, -1, 1, /*with_cache=*/true);
+  ASSERT_TRUE(full.persist_status.ok());
+  SnapshotData final_snapshot;
+  ASSERT_TRUE(LoadLatestSnapshot(dir, &final_snapshot).ok());
+  ASSERT_TRUE(final_snapshot.complete);
+  const int64_t last = final_snapshot.barrier.barrier;
+  ASSERT_GT(last, 0);
+
+  const ReplayResult halted =
+      RunReplay(dir, false, /*halt_after_barrier=*/last, 1,
+                /*with_cache=*/true, {}, /*snapshot_every=*/0);
+  ASSERT_TRUE(halted.persist_status.ok());
+  ASSERT_GT(halted.cache_stats.inserts, 0);
+  EXPECT_EQ(halted.counters.snapshots, 0);
+  EXPECT_EQ(halted.counters.wal_records, last + 1);
+
+  const auto read = ReadWal(dir, 0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read->truncated);
+  ASSERT_EQ(static_cast<int64_t>(read->records.size()), last + 1);
+  for (int64_t b = 0; b <= last; ++b) {
+    EXPECT_EQ(read->records[b].type, RecordType::kBarrier);
+    EXPECT_EQ(read->records[b].barrier.barrier, b);
   }
 }
 

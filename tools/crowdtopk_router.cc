@@ -77,7 +77,8 @@ Engine knobs (per shard; same meaning as crowdtopk_serve)
                             (net_server.trace.jsonl,
                              shard_router.trace.jsonl on exit)
 
-Exit codes: 0 clean drain, 2 startup failure.
+Exit codes: 0 clean drain, 2 startup failure (bad argument, knob out of
+range, bind failure).
 )";
 
 net::Server* g_server = nullptr;

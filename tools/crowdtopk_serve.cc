@@ -15,10 +15,11 @@
 //              the (new) trace warm — the cross-generation reuse path
 //
 // Exit codes: 0 ok (including a degraded resume after WAL-tail damage,
-// which is reported, not fatal); 2 bad argument, unknown dataset or
-// algorithm name, or persistence error (configuration fingerprint
-// mismatch, write failure); 3 catch-up divergence (durable records
-// disagree with deterministic re-execution — file a bug).
+// which is reported, not fatal); 2 bad argument, knob out of range,
+// unknown dataset or algorithm name, or persistence error (configuration
+// fingerprint mismatch, other format version, write failure); 3 catch-up
+// divergence (durable records disagree with deterministic re-execution —
+// file a bug).
 
 #include <cstdio>
 #include <cstring>
@@ -93,15 +94,21 @@ Output knobs
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  per-query telemetry traces
                             (docs/OBSERVABILITY.md)
 
-Exit codes: 0 ok (degraded resume included), 2 bad argument, unknown
-dataset or algorithm name, or persistence error, 3 catch-up divergence.
+Exit codes: 0 ok (degraded resume included), 2 bad argument, knob out
+of range, unknown dataset or algorithm name, or persistence error, 3
+catch-up divergence.
 )";
 
-// Reports a knob value that names no dataset or algorithm; exit code 2.
-int UnknownName(const char* knob, const std::string& value) {
-  std::fprintf(stderr, "crowdtopk_serve: unknown %s '%s' (try --help)\n",
-               knob, value.c_str());
+// Reports a knob value out of its range or naming no dataset or
+// algorithm; exit code 2.
+int BadKnob(const std::string& message) {
+  std::fprintf(stderr, "crowdtopk_serve: %s (try --help)\n",
+               message.c_str());
   return 2;
+}
+
+int UnknownName(const std::string& knob, const std::string& value) {
+  return BadKnob("unknown " + knob + " '" + value + "'");
 }
 
 }  // namespace
@@ -134,6 +141,8 @@ int main(int argc, char** argv) {
   const std::string dataset_name =
       util::GetEnvString("CROWDTOPK_SERVE_DATASET", "peopleage");
   const int64_t k = util::GetEnvInt64("CROWDTOPK_SERVE_K", 10);
+  judgment::ComparisonOptions comparison;
+  comparison.alpha = util::GetEnvDouble("CROWDTOPK_SERVE_ALPHA", 0.02);
   const std::string algo_list = util::GetEnvString(
       "CROWDTOPK_SERVE_ALGOS", "spr,tourtree,heapsort,quickselect");
   const uint64_t seed = util::BenchSeed();
@@ -162,6 +171,16 @@ int main(int argc, char** argv) {
   options.persist.wal_segment_bytes = util::WalSegmentBytes();
   options.persist.kill_at_barrier = util::PersistKillBarrier();
   options.persist.resume = resume;
+  // Each condition is written so that a NaN fails it.
+  if (queries < 0) return BadKnob("CROWDTOPK_SERVE_QUERIES must be >= 0");
+  if (!(rate > 0.0)) return BadKnob("CROWDTOPK_SERVE_RATE must be > 0");
+  if (k < 1) return BadKnob("CROWDTOPK_SERVE_K must be >= 1");
+  if (!(comparison.alpha > 0.0 && comparison.alpha < 1.0)) {
+    return BadKnob("CROWDTOPK_SERVE_ALPHA must be in (0, 1)");
+  }
+  const util::Status schedule =
+      serve::CheckScheduleOptions(options.schedule, options.max_inflight);
+  if (!schedule.ok()) return BadKnob(schedule.message());
   if ((resume || warm) && options.persist.dir.empty()) {
     std::fprintf(stderr,
                  "--%s requires CROWDTOPK_PERSIST_DIR (try --help)\n",
@@ -185,9 +204,6 @@ int main(int argc, char** argv) {
                 options.warm_cache.size(),
                 static_cast<long long>(snapshot.barrier.barrier));
   }
-
-  judgment::ComparisonOptions comparison;
-  comparison.alpha = util::GetEnvDouble("CROWDTOPK_SERVE_ALPHA", 0.02);
 
   const std::unique_ptr<data::Dataset> dataset =
       data::MakeByName(dataset_name, seed);
