@@ -75,18 +75,17 @@ int main() {
         const std::vector<double> arrivals(queries, 0.0);
 
         const auto replay = [&](const std::string& persist_dir,
-                                std::vector<cache::ExportedEntry> warm,
-                                double* tmc, double* hits,
-                                double* restored) {
+                                const std::vector<cache::ExportedEntry>& warm,
+                                double* tmc, double* hits, double* restored) {
           serve::ServeOptions options;
           options.max_inflight = 1;  // FIFO: maximal reuse window
           options.jobs = 1;
           options.seed = run_seed;
           options.cache.enabled = true;
-          options.warm_cache = std::move(warm);
           options.persist.dir = persist_dir;
           options.persist.wal_fsync = false;  // bench, not durability test
           serve::QueryService service(options);
+          service.RestoreCache(warm);
           const std::vector<serve::QueryOutcome> outcomes =
               service.Replay(requests, arrivals);
           CROWDTOPK_CHECK(service.persist_status().ok());

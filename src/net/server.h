@@ -88,12 +88,12 @@ struct ServerOptions {
   // with a QUEUE_FULL error frame. < 0 = unbounded.
   int64_t max_queue = 256;
 
-  // Engine: the serve::QueryService settings each batch runs under.
+  // Engine: the settings of each shard's serve::QueryService.
   uint64_t seed = 20170514;
   serve::ScheduleOptions schedule;
   int64_t max_inflight = 16;
   int64_t jobs = 1;
-  // Judgment cache; committed entries chain across batches.
+  // Judgment cache; each shard keeps one across batches.
   cache::CacheOptions cache;
 
   // Non-empty: write net/* telemetry counters (per connection and

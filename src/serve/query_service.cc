@@ -34,13 +34,15 @@ std::string FileToken(const std::string& name) {
   return token.empty() ? "algo" : token;
 }
 
-// Everything that shapes the replay's outcomes goes into the persist
-// manifest fingerprint: resuming under a different configuration would
-// re-execute a *different* deterministic function and silently diverge
-// from the durable records. jobs and trace_dir are excluded on purpose —
-// they never change results, and resuming with a different worker count
-// is an explicitly supported (and tested) case.
+// Everything that shapes the replay's outcomes, the cache `image` it
+// starts from included, goes into the persist manifest fingerprint:
+// resuming under a different configuration would re-execute a *different*
+// deterministic function and silently diverge from the durable records.
+// jobs and trace_dir are excluded on purpose — they never change results,
+// and resuming with a different worker count is an explicitly supported
+// (and tested) case.
 uint64_t ConfigFingerprint(const ServeOptions& options,
+                           const std::vector<cache::ExportedEntry>& image,
                            const std::vector<QueryRequest>& requests,
                            const std::vector<double>& arrivals) {
   persist::Encoder enc;
@@ -59,8 +61,8 @@ uint64_t ConfigFingerprint(const ServeOptions& options,
   enc.PutU8(options.cache.enabled ? 1 : 0);
   enc.PutI64(options.cache.capacity);
   enc.PutU8(options.cache.transitivity ? 1 : 0);
-  enc.PutU32(static_cast<uint32_t>(options.warm_cache.size()));
-  for (const cache::ExportedEntry& entry : options.warm_cache) {
+  enc.PutU32(static_cast<uint32_t>(image.size()));
+  for (const cache::ExportedEntry& entry : image) {
     persist::EncodeCacheEntry(entry, &enc);
   }
   enc.PutU32(static_cast<uint32_t>(requests.size()));
@@ -84,15 +86,33 @@ QueryService::QueryService(const ServeOptions& options)
   CROWDTOPK_CHECK(
       CheckScheduleOptions(options.schedule, options.max_inflight).ok());
   CROWDTOPK_CHECK_GE(options.jobs, 0);
+  if (options_.jobs != 1) {
+    pool_ = std::make_unique<exec::ThreadPool>(
+        options_.jobs == 0 ? exec::ThreadPool::HardwareThreads()
+                           : options_.jobs);
+  }
+  RestoreCache({});
+}
+
+void QueryService::RestoreCache(
+    const std::vector<cache::ExportedEntry>& entries) {
+  if (!options_.cache.enabled) return;
+  // Deferred commit is mandatory under concurrent drivers: inserts apply
+  // only at the quiescence barriers of Replay, in query-id order, keeping
+  // the replay bit-identical for any jobs value.
+  cache::CacheOptions cache_options = options_.cache;
+  cache_options.deferred_commit = true;
+  cache_ = std::make_unique<cache::JudgmentCache>(cache_options);
+  cache_->RestoreEntries(entries);
 }
 
 std::vector<QueryOutcome> QueryService::Replay(
     const std::vector<QueryRequest>& requests,
     const std::vector<double>& arrivals) {
-  CROWDTOPK_CHECK(!replayed_);
-  replayed_ = true;
   const int64_t n = static_cast<int64_t>(requests.size());
   CROWDTOPK_CHECK_EQ(n, static_cast<int64_t>(arrivals.size()));
+  CROWDTOPK_CHECK(!replayed_ || options_.persist.dir.empty());
+  CROWDTOPK_CHECK(!replayed_ || options_.trace_dir.empty());
   for (int64_t i = 0; i < n; ++i) {
     CROWDTOPK_CHECK(requests[i].algorithm != nullptr);
     CROWDTOPK_CHECK(requests[i].dataset != nullptr);
@@ -100,24 +120,15 @@ std::vector<QueryOutcome> QueryService::Replay(
     // One algorithm instance serves many concurrent queries.
     CROWDTOPK_CHECK(requests[i].algorithm->concurrent_runs_safe());
     if (i > 0) CROWDTOPK_CHECK(arrivals[i - 1] <= arrivals[i]);
+    CROWDTOPK_CHECK(!replayed_ || requests[i].cache_universe >= 0);
   }
+  replayed_ = true;
 
   requests_ = &requests;
   outcomes_.assign(n, QueryOutcome());
-  if (options_.jobs != 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(
-        options_.jobs == 0 ? exec::ThreadPool::HardwareThreads()
-                           : options_.jobs);
-  }
   scheduler_ = std::make_unique<BatchScheduler>(options_.schedule,
                                                 options_.seed, pool_.get());
-  if (options_.cache.enabled) {
-    // Deferred commit is mandatory under concurrent drivers: inserts apply
-    // only at the quiescence barriers below, in query-id order, keeping the
-    // replay bit-identical for any jobs value.
-    cache::CacheOptions cache_options = options_.cache;
-    cache_options.deferred_commit = true;
-    cache_ = std::make_unique<cache::JudgmentCache>(cache_options);
+  if (cache_ != nullptr) {
     // Resolve cache universes: explicit request values win; otherwise one
     // universe per distinct dataset pointer, numbered past the largest
     // explicit id in first-seen request order.
@@ -137,9 +148,6 @@ std::vector<QueryOutcome> QueryService::Replay(
       if (inserted) ++next_universe;
       universes_[i] = it->second;
     }
-    if (!options_.warm_cache.empty()) {
-      cache_->RestoreEntries(options_.warm_cache);
-    }
   }
 
   // Durable state: open (or recover) the persist directory. Failures are
@@ -148,7 +156,8 @@ std::vector<QueryOutcome> QueryService::Replay(
   // directory afterwards.
   if (!options_.persist.dir.empty()) {
     persist_ = std::make_unique<persist::PersistenceManager>(
-        options_.persist, ConfigFingerprint(options_, requests, arrivals));
+        options_.persist,
+        ConfigFingerprint(options_, ExportCache(), requests, arrivals));
     persist_status_ = persist_->Open();
     if (!persist_status_.ok()) {
       std::fprintf(stderr,

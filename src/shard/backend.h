@@ -3,10 +3,9 @@
 // A backend executes sub-batches of routed queries and reports per-query
 // outcomes. Two implementations:
 //
-//   * LocalShardBackend (local_backend.h): an in-process
-//     serve::QueryService per batch — the "spawn K engines in one
-//     process" deployment, and the only one the deterministic simulation
-//     drives.
+//   * LocalShardBackend (local_backend.h): one long-lived in-process
+//     serve::QueryService — the "spawn K engines in one process"
+//     deployment, and the only one the deterministic simulation drives.
 //   * RemoteShardBackend (remote_backend.h): a net::Client against a
 //     crowdtopk_router process — the scale-out deployment.
 //
@@ -93,13 +92,12 @@ class ShardBackend {
   virtual bool dead() const = 0;
 
   // Cross-shard cache exchange (router cache_sync). ExportCache returns
-  // the shard's committed judgment-cache entries after the last completed
-  // batch; SetWarmCache replaces the warm-start entries applied before
-  // the next one. Backends that cannot participate (remote shards —
-  // cache state lives in the far process) return false from
-  // SupportsCacheSync and empty exports.
+  // the shard's committed judgment-cache entries; SetWarmCache replaces
+  // the shard's cache with `entries` before its next batch. Backends that
+  // cannot participate (remote shards — cache state lives in the far
+  // process) return false from SupportsCacheSync and empty exports.
   virtual bool SupportsCacheSync() const = 0;
-  virtual std::vector<cache::ExportedEntry> ExportCache() = 0;
+  virtual std::vector<cache::ExportedEntry> ExportCache() const = 0;
   virtual void SetWarmCache(std::vector<cache::ExportedEntry> entries) = 0;
 
   // Cumulative counters for the merged report.

@@ -1,10 +1,25 @@
 #include "shard/local_backend.h"
 
-#include <utility>
-
-#include "util/check.h"
-
 namespace crowdtopk::shard {
+
+LocalShardBackend::LocalShardBackend(const Options& options)
+    : options_(options),
+      service_({.schedule = options.schedule,
+                .max_inflight = options.max_inflight,
+                // Unbounded: admission control happened at the router. A
+                // shard-local queue bound would reject queries based on
+                // *placement*, breaking the shard-count-invariance of the
+                // merged result table.
+                .max_queue = -1,
+                .jobs = options.jobs,
+                // Constant master seed: every judgment/latency stream is
+                // keyed by the stamped global id, never by which shard or
+                // batch ran the query.
+                .seed = options.seed,
+                // Traces and persistence off, as repeat Replays require.
+                .trace_dir = "",
+                .cache = options.cache,
+                .persist = {}}) {}
 
 util::StatusOr<ShardBatchResult> LocalShardBackend::RunBatch(
     const std::vector<RoutedQuery>& batch) {
@@ -19,26 +34,9 @@ util::StatusOr<ShardBatchResult> LocalShardBackend::RunBatch(
     return util::Status::Unavailable("shard killed by fault injection");
   }
 
-  serve::ServeOptions serve_options;
-  serve_options.schedule = options_.schedule;
-  serve_options.max_inflight = options_.max_inflight;
-  // Unbounded: admission control happened at the router. A shard-local
-  // queue bound would reject queries based on *placement*, breaking the
-  // shard-count-invariance of the merged result table.
-  serve_options.max_queue = -1;
-  serve_options.jobs = options_.jobs;
-  // Constant master seed: every judgment/latency stream is keyed by the
-  // stamped global id, never by which shard or batch ran the query.
-  serve_options.seed = options_.seed;
-  serve_options.cache = options_.cache;
-  serve_options.warm_cache = std::move(warm_);
-  warm_.clear();
-
   std::vector<serve::QueryRequest> requests(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const RoutedQuery& q = batch[i];
-    CROWDTOPK_CHECK(q.algorithm != nullptr);
-    CROWDTOPK_CHECK(q.dataset_ptr != nullptr);
     requests[i].algorithm = q.algorithm;
     requests[i].dataset = q.dataset_ptr;
     requests[i].k = q.k;
@@ -46,11 +44,8 @@ util::StatusOr<ShardBatchResult> LocalShardBackend::RunBatch(
     requests[i].seed_stream = q.global_id;
   }
 
-  serve::QueryService service(serve_options);
-  const std::vector<double> arrivals(requests.size(), 0.0);
   const std::vector<serve::QueryOutcome> outcomes =
-      service.Replay(requests, arrivals);
-  warm_ = service.ExportCache();
+      service_.Replay(requests, std::vector<double>(requests.size(), 0.0));
 
   ShardBatchResult result;
   result.results.resize(outcomes.size());

@@ -1,10 +1,10 @@
 // LocalShardBackend: an in-process engine shard.
 //
-// Executes each sub-batch through a fresh serve::QueryService under the
-// *constant* master seed, with every request stamped with its global
-// query id (backend.h). The shard's judgment cache chains batch-to-batch
-// through warm_cache exports; under router cache_sync the router replaces
-// that warm set with the merged cross-shard export between batches.
+// Replays each sub-batch through one serve::QueryService, kept for the
+// shard's whole life, under the *constant* master seed, with every request
+// stamped with its global query id (backend.h). Its one judgment cache
+// carries judgments from batch to batch; under router cache_sync the
+// router replaces it with the merged cross-shard export between batches.
 //
 // Deterministic failure injection: with fail_at_batch >= 1 the shard
 // "dies" at the start of its fail_at_batch-th RunBatch (1-based), loses
@@ -35,7 +35,7 @@ class LocalShardBackend : public ShardBackend {
     int64_t fail_at_batch = -1;
   };
 
-  explicit LocalShardBackend(const Options& options) : options_(options) {}
+  explicit LocalShardBackend(const Options& options);
 
   util::StatusOr<ShardBatchResult> RunBatch(
       const std::vector<RoutedQuery>& batch) override;
@@ -43,9 +43,11 @@ class LocalShardBackend : public ShardBackend {
   bool dead() const override { return dead_; }
 
   bool SupportsCacheSync() const override { return options_.cache.enabled; }
-  std::vector<cache::ExportedEntry> ExportCache() override { return warm_; }
+  std::vector<cache::ExportedEntry> ExportCache() const override {
+    return service_.ExportCache();
+  }
   void SetWarmCache(std::vector<cache::ExportedEntry> entries) override {
-    warm_ = std::move(entries);
+    service_.RestoreCache(entries);
   }
 
   int64_t batches_run() const override { return batches_run_; }
@@ -54,13 +56,11 @@ class LocalShardBackend : public ShardBackend {
 
  private:
   const Options options_;
+  serve::QueryService service_;
   bool dead_ = false;
   int64_t batches_run_ = 0;
   int64_t queries_run_ = 0;
   int64_t microtasks_ = 0;
-  // Committed cache entries after the last batch; the warm-start set for
-  // the next one (possibly overwritten by the router's merged export).
-  std::vector<cache::ExportedEntry> warm_;
 };
 
 }  // namespace crowdtopk::shard

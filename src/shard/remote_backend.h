@@ -9,7 +9,7 @@
 // path is deployment-agnostic.
 //
 // Cache sync is not supported across the wire: the judgment cache lives
-// inside the far crowdtopk_router process, which already chains it across
+// inside the far crowdtopk_router process, which already keeps it across
 // its own batches; shipping entries through the protocol is future work
 // (docs/SHARDING.md).
 
@@ -36,10 +36,8 @@ class RemoteShardBackend : public ShardBackend {
   bool dead() const override { return dead_; }
 
   bool SupportsCacheSync() const override { return false; }
-  std::vector<cache::ExportedEntry> ExportCache() override { return {}; }
-  void SetWarmCache(std::vector<cache::ExportedEntry> entries) override {
-    (void)entries;
-  }
+  std::vector<cache::ExportedEntry> ExportCache() const override { return {}; }
+  void SetWarmCache(std::vector<cache::ExportedEntry>) override {}
 
   int64_t batches_run() const override { return batches_run_; }
   int64_t queries_run() const override { return queries_run_; }

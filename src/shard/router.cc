@@ -143,10 +143,7 @@ void ShardRouter::SyncCaches() {
     if (!backend->dead() && backend->SupportsCacheSync()) any = true;
   }
   if (!any) return;
-  cache::CacheOptions merge_options = options_.cache;
-  merge_options.enabled = true;
-  merge_options.deferred_commit = false;
-  cache::JudgmentCache merged(merge_options);
+  cache::JudgmentCache merged(options_.cache);
   for (const std::unique_ptr<ShardBackend>& backend : backends_) {
     if (backend->dead() || !backend->SupportsCacheSync()) continue;
     merged.RestoreEntries(backend->ExportCache());

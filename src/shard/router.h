@@ -22,7 +22,7 @@
 // themselves committed at quiescence barriers in query-id order), merges
 // them through a JudgmentCache — whose better-entry rule makes the merge
 // order-insensitive and whose capacity bound still applies — and gossips
-// the merged set back as every shard's next warm_cache. Entries never
+// the merged set back, replacing every shard's cache. Entries never
 // bypass the alpha gate: a receiving query still only *hits* on an
 // imported entry whose cached alpha covers its own, identical to a local
 // cache hit (docs/SHARDING.md discusses soundness).

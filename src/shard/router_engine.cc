@@ -157,6 +157,11 @@ util::StatusOr<int64_t> RouterEngine::Submit(int64_t conn_id,
       return util::Status::InvalidArgument("unknown dataset '" +
                                            spec.dataset + "'");
     }
+    if (spec.k > dataset->num_items()) {
+      return util::Status::InvalidArgument(
+          "k exceeds the " + std::to_string(dataset->num_items()) +
+          " items of '" + spec.dataset + "'");
+    }
     core::TopKAlgorithm* algorithm = ResolveAlgorithmLocked(spec);
     if (algorithm == nullptr) {
       return util::Status::InvalidArgument("unknown algorithm '" +

@@ -96,9 +96,9 @@ RunArtifacts RunReplay(const Episode& e, const RunConfig& config) {
     options.persist.resume = config.resume;
     options.persist.halt_after_barrier = config.halt_after_barrier;
   }
-  if (config.warm != nullptr) options.warm_cache = *config.warm;
 
   serve::QueryService service(options);
+  if (config.warm != nullptr) service.RestoreCache(*config.warm);
   RunArtifacts artifacts;
   artifacts.outcomes = service.Replay(requests, arrivals);
   const serve::ServeReport report = serve::BuildServeReport(

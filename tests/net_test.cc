@@ -516,6 +516,13 @@ TEST_F(NetE2ETest, UnknownDatasetAndAlgorithmAreClientErrors) {
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
 
+  // A k past the dataset's 12 items is refused, not run into a CHECK.
+  SubmitQuery k_above_items = TinyQuery("heapsort");
+  k_above_items.k = 13;
+  id = client.Submit(k_above_items);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
+
   // The connection survives rejected submissions: a good query still runs.
   id = client.Submit(TinyQuery());
   ASSERT_TRUE(id.ok()) << id.status().ToString();

@@ -445,7 +445,6 @@ ReplayResult RunReplay(const std::string& persist_dir, bool resume,
   options.jobs = jobs;
   options.seed = 31;
   options.cache.enabled = with_cache;
-  options.warm_cache = std::move(warm);
   options.persist.dir = persist_dir;
   options.persist.resume = resume;
   options.persist.snapshot_every = snapshot_every;
@@ -453,6 +452,7 @@ ReplayResult RunReplay(const std::string& persist_dir, bool resume,
   options.persist.halt_after_barrier = halt_after_barrier;
 
   serve::QueryService service(options);
+  service.RestoreCache(warm);
   const std::vector<serve::QueryOutcome> outcomes =
       service.Replay(requests, arrivals);
 

@@ -1,7 +1,8 @@
 // Tests for the multi-query serving layer (src/serve): sync-algorithm
 // equivalence through the AsyncPlatform bridge, scheduler fairness under
 // saturation, straggler requeueing and bounded-retry failure, admission
-// overflow, and bit-identity of the serve report across worker counts.
+// overflow, bit-identity of the serve report across worker counts, and a
+// service replayed more than once.
 
 #include <algorithm>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "fault/injector.h"
 #include "gtest/gtest.h"
 #include "judgment/comparison.h"
+#include "persist/format.h"
 #include "serve/arrival.h"
 #include "serve/async_platform.h"
 #include "serve/batch_scheduler.h"
@@ -352,6 +354,110 @@ TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
   }
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_EQ(tables[0], tables[1]);
+}
+
+// Byte image of a cache export, for exact comparison.
+std::string CacheImage(const std::vector<cache::ExportedEntry>& entries) {
+  persist::Encoder enc;
+  for (const cache::ExportedEntry& e : entries) {
+    persist::EncodeCacheEntry(e, &enc);
+  }
+  return enc.Take();
+}
+
+void ExpectSameOutcomes(const std::vector<QueryOutcome>& a,
+                        const std::vector<QueryOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].query_id, b[i].query_id);
+    EXPECT_EQ(a[i].algorithm, b[i].algorithm);
+    EXPECT_EQ(a[i].status.ToString(), b[i].status.ToString());
+    EXPECT_EQ(a[i].rejected, b[i].rejected);
+    EXPECT_EQ(a[i].arrival_seconds, b[i].arrival_seconds);
+    EXPECT_EQ(a[i].start_seconds, b[i].start_seconds);
+    EXPECT_EQ(a[i].finish_seconds, b[i].finish_seconds);
+    EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
+    EXPECT_EQ(a[i].rounds_observed, b[i].rounds_observed);
+    EXPECT_EQ(a[i].rounds_private, b[i].rounds_private);
+    EXPECT_EQ(a[i].total_microtasks, b[i].total_microtasks);
+    EXPECT_EQ(a[i].expired_assignments, b[i].expired_assignments);
+    EXPECT_EQ(a[i].requeued_assignments, b[i].requeued_assignments);
+    EXPECT_EQ(a[i].precision_at_k, b[i].precision_at_k);
+    EXPECT_EQ(a[i].items, b[i].items);
+    EXPECT_EQ(a[i].cache_hits, b[i].cache_hits);
+    EXPECT_EQ(a[i].cache_topups, b[i].cache_topups);
+    EXPECT_EQ(a[i].cache_inferred, b[i].cache_inferred);
+    EXPECT_EQ(a[i].cache_misses, b[i].cache_misses);
+    EXPECT_EQ(a[i].cache_seeded_samples, b[i].cache_seeded_samples);
+  }
+}
+
+void ExpectSameAggregates(const QueryService& a, const QueryService& b) {
+  EXPECT_EQ(a.assignment_stats().enqueued, b.assignment_stats().enqueued);
+  EXPECT_EQ(a.assignment_stats().scheduled, b.assignment_stats().scheduled);
+  EXPECT_EQ(a.assignment_stats().completed, b.assignment_stats().completed);
+  EXPECT_EQ(a.assignment_stats().expired, b.assignment_stats().expired);
+  EXPECT_EQ(a.assignment_stats().requeued, b.assignment_stats().requeued);
+  EXPECT_EQ(a.assignment_stats().failed, b.assignment_stats().failed);
+  EXPECT_EQ(a.makespan_seconds(), b.makespan_seconds());
+  EXPECT_EQ(a.total_rounds(), b.total_rounds());
+}
+
+// A service may replay again: each call starts a fresh scheduler against
+// the service's one cache, so the second call returns exactly what a fresh
+// service holding that cache returns — timing columns included. Without a
+// cache that is a fresh service; with one, a fresh service restored from
+// the first call's export.
+TEST(QueryServiceTest, SecondReplayMatchesFreshServiceHoldingTheSameCache) {
+  const auto dataset = data::MakeUniformLadder(16, 1.0, 0.8);
+  judgment::ComparisonOptions comparison;
+  baselines::HeapSortTopK heap(comparison);
+  baselines::QuickSelectTopK quick(comparison);
+  core::TopKAlgorithm* algorithms[] = {&heap, &quick};
+
+  // Two batches over one universe, stamped with distinct seed streams.
+  const auto batch = [&](int64_t first_stream) {
+    std::vector<QueryRequest> requests(6);
+    for (int64_t q = 0; q < 6; ++q) {
+      requests[q].algorithm = algorithms[q % 2];
+      requests[q].dataset = dataset.get();
+      requests[q].k = 4;
+      requests[q].cache_universe = 0;
+      requests[q].seed_stream = first_stream + q;
+    }
+    return requests;
+  };
+  const std::vector<QueryRequest> first = batch(0);
+  const std::vector<QueryRequest> second = batch(100);
+  const std::vector<double> arrivals = PoissonArrivals(6, 0.01, 77);
+
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache on" : "cache off");
+    ServeOptions options;
+    options.schedule.abandon_probability = 0.1;  // exercise requeues too
+    options.max_inflight = 3;
+    options.jobs = 4;  // the service's one pool serves both calls
+    options.seed = 77;
+    options.cache.enabled = cached;
+
+    QueryService twice(options);
+    twice.Replay(first, arrivals);
+    const std::vector<cache::ExportedEntry> image = twice.ExportCache();
+    EXPECT_EQ(image.empty(), !cached);
+    const std::vector<QueryOutcome> again = twice.Replay(second, arrivals);
+
+    QueryService fresh(options);
+    fresh.RestoreCache(image);
+    const std::vector<QueryOutcome> expected = fresh.Replay(second, arrivals);
+
+    ExpectSameOutcomes(again, expected);
+    ExpectSameAggregates(twice, fresh);
+    EXPECT_EQ(CacheImage(twice.ExportCache()), CacheImage(fresh.ExportCache()));
+    int64_t hits = 0;
+    for (const QueryOutcome& o : again) hits += o.cache_hits;
+    EXPECT_EQ(hits > 0, cached) << "the second call never read the cache";
+  }
 }
 
 // Pins the machine-readable report schema to a golden file. The JSONL

@@ -2,8 +2,9 @@
 // docs/SHARDING.md): placement hashing (determinism, rendezvous stability
 // under resize), the router's shard-count / thread-count invariance of the
 // merged pure-column table, bounded failover re-dispatch, the cache-sync
-// alpha gate, agreement between a 1-shard router and a plain
-// serve::QueryService fed the same stamped seed streams, and the router
+// alpha gate and replace semantics, agreement between a 1-shard router and
+// a plain serve::QueryService fed the same stamped seed streams, a
+// long-lived local shard against a fresh service per batch, and the router
 // engine's bounded memory of finished queries.
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "judgment/comparison.h"
+#include "persist/format.h"
 #include "serve/query_service.h"
 #include "shard/hash.h"
 #include "shard/local_backend.h"
@@ -89,6 +91,15 @@ std::vector<std::unique_ptr<ShardBackend>> MakeShards(
     backends.push_back(std::make_unique<LocalShardBackend>(shard_options));
   }
   return backends;
+}
+
+// Byte image of a cache export, for exact comparison.
+std::string CacheImage(const std::vector<cache::ExportedEntry>& entries) {
+  persist::Encoder enc;
+  for (const cache::ExportedEntry& e : entries) {
+    persist::EncodeCacheEntry(e, &enc);
+  }
+  return enc.Take();
 }
 
 // ----- placement hashing ---------------------------------------------------
@@ -326,8 +337,14 @@ TEST(ShardCacheSyncTest, RouterGossipKeepsCapacityBoundAndCounters) {
   options.cache_sync = true;
   options.cache.enabled = true;
   options.cache.capacity = 2;
+  // Three cache universes over one ladder spread the queries, and with
+  // them distinct cached pairs, over more than one shard.
+  std::vector<RoutedQuery> trace = workload.Trace(6);
+  for (size_t q = 0; q < trace.size(); ++q) {
+    trace[q].universe = static_cast<int64_t>(q / 2);
+  }
   ShardRouter router(options, MakeShards(3, backend_options));
-  router.RouteBatch(workload.Trace(6));
+  router.RouteBatch(trace);
   const RouterCounters& counters = router.counters();
   EXPECT_GE(counters.cache_sync_rounds, 1);
   // The merge vessel enforces the same capacity bound as any shard cache,
@@ -335,6 +352,111 @@ TEST(ShardCacheSyncTest, RouterGossipKeepsCapacityBoundAndCounters) {
   // configured capacity.
   EXPECT_LE(counters.cache_entries_gossiped,
             counters.cache_sync_rounds * 2);
+
+  // Gossip replaces each shard's cache: after the one wave every healthy
+  // shard holds exactly the capacity-bounded merge of what the shards held
+  // before it, which an unsynced router over the same trace exposes.
+  // Merging into a shard's live (full) cache would keep its own pairs.
+  RouterOptions unsynced = options;
+  unsynced.cache_sync = false;
+  ShardRouter plain(unsynced, MakeShards(3, backend_options));
+  plain.RouteBatch(trace);
+  cache::JudgmentCache merged(options.cache);
+  int64_t shards_with_entries = 0;
+  for (int64_t s = 0; s < plain.num_shards(); ++s) {
+    const std::vector<cache::ExportedEntry> own =
+        plain.backend(s).ExportCache();
+    if (!own.empty()) ++shards_with_entries;
+    merged.RestoreEntries(own);
+  }
+  ASSERT_GE(shards_with_entries, 2) << "one shard ran everything: vacuous";
+  const std::string expected = CacheImage(merged.Export());
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    SCOPED_TRACE(s);
+    ASSERT_FALSE(router.backend(s).dead());
+    EXPECT_EQ(CacheImage(router.backend(s).ExportCache()), expected);
+  }
+}
+
+// ----- long-lived local shard -----------------------------------------------
+
+// A shard keeps one QueryService for its whole life. Its per-batch results
+// equal the per-batch rebuild it replaces: a fresh service per batch,
+// restored from the previous batch's export or, after a gossip, from the
+// warm set — every field, timing included.
+TEST(LocalShardBackendTest, OneServiceMatchesAFreshServicePerBatch) {
+  const Workload workload;
+  const std::vector<RoutedQuery> trace = workload.Trace(12);
+  const std::vector<std::vector<RoutedQuery>> batches = {
+      {trace.begin(), trace.begin() + 3},
+      {trace.begin() + 3, trace.begin() + 5},
+      {trace.begin() + 5, trace.begin() + 9},
+      {trace.begin() + 9, trace.end()}};
+  // The warm set comes from another workload (a looser alpha), so
+  // replacing the shard's cache with it is visible.
+  const Workload loose_workload(0.2);
+  LocalShardBackend::Options options = BackendOptions(/*jobs=*/2);
+  options.cache.enabled = true;
+  LocalShardBackend donor(options);
+  ASSERT_TRUE(donor.RunBatch(loose_workload.Trace(4, 0.2)).ok());
+  const std::vector<cache::ExportedEntry> warm_set = donor.ExportCache();
+  ASSERT_FALSE(warm_set.empty());
+  constexpr size_t kGossipBefore = 2;
+
+  LocalShardBackend backend(options);
+  std::vector<cache::ExportedEntry> warm;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE(b);
+    if (b == kGossipBefore) {
+      backend.SetWarmCache(warm_set);
+      warm = warm_set;
+    }
+    const util::StatusOr<ShardBatchResult> got = backend.RunBatch(batches[b]);
+    ASSERT_TRUE(got.ok());
+
+    serve::ServeOptions serve_options;
+    serve_options.schedule = options.schedule;
+    serve_options.max_inflight = options.max_inflight;
+    serve_options.jobs = options.jobs;
+    serve_options.seed = options.seed;
+    serve_options.cache = options.cache;
+    serve::QueryService fresh(serve_options);
+    fresh.RestoreCache(warm);
+    std::vector<serve::QueryRequest> requests(batches[b].size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      requests[i].algorithm = batches[b][i].algorithm;
+      requests[i].dataset = batches[b][i].dataset_ptr;
+      requests[i].k = batches[b][i].k;
+      requests[i].cache_universe = batches[b][i].universe;
+      requests[i].seed_stream = batches[b][i].global_id;
+    }
+    const std::vector<serve::QueryOutcome> expected =
+        fresh.Replay(requests, std::vector<double>(requests.size(), 0.0));
+    warm = fresh.ExportCache();
+
+    ASSERT_EQ(got->results.size(), expected.size());
+    int64_t microtasks = 0;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(i);
+      const ShardQueryResult& r = got->results[i];
+      const serve::QueryOutcome& e = expected[i];
+      EXPECT_EQ(r.global_id, batches[b][i].global_id);
+      EXPECT_EQ(r.status.ToString(), e.status.ToString());
+      EXPECT_EQ(r.items, e.items);
+      EXPECT_EQ(r.precision_at_k, e.precision_at_k);
+      EXPECT_EQ(r.total_microtasks, e.total_microtasks);
+      EXPECT_EQ(r.rounds_private, e.rounds_private);
+      EXPECT_EQ(r.expired_assignments, e.expired_assignments);
+      EXPECT_EQ(r.requeued_assignments, e.requeued_assignments);
+      EXPECT_EQ(r.rounds_observed, e.rounds_observed);
+      EXPECT_EQ(r.latency_seconds, e.latency_seconds);
+      EXPECT_EQ(r.queue_wait_seconds, e.start_seconds - e.arrival_seconds);
+      microtasks += e.total_microtasks;
+    }
+    EXPECT_EQ(got->microtasks, microtasks);
+    EXPECT_EQ(CacheImage(backend.ExportCache()), CacheImage(warm));
+  }
+  EXPECT_EQ(backend.batches_run(), static_cast<int64_t>(batches.size()));
 }
 
 // ----- router vs plain serving stack ---------------------------------------

@@ -187,21 +187,20 @@ int main(int argc, char** argv) {
                  resume ? "resume" : "warm");
     return 2;
   }
+  persist::SnapshotData snapshot;
   if (warm) {
     // Warm restart: lift the previous generation's cache image out of the
     // newest snapshot, then run as a *fresh* generation (the image enters
     // the new run's cache as restored entries; persistence, if still
     // enabled, starts over for the new trace).
-    persist::SnapshotData snapshot;
     const util::Status status =
         persist::LoadLatestSnapshot(options.persist.dir, &snapshot);
     if (!status.ok()) {
       std::fprintf(stderr, "--warm: %s\n", status.ToString().c_str());
       return 2;
     }
-    options.warm_cache = snapshot.cache_entries;
     std::printf("warm restart: %zu cached pairs from barrier %lld\n",
-                options.warm_cache.size(),
+                snapshot.cache_entries.size(),
                 static_cast<long long>(snapshot.barrier.barrier));
   }
 
@@ -209,6 +208,11 @@ int main(int argc, char** argv) {
       data::MakeByName(dataset_name, seed);
   if (dataset == nullptr) {
     return UnknownName("CROWDTOPK_SERVE_DATASET", dataset_name);
+  }
+  if (k > dataset->num_items()) {
+    return BadKnob("CROWDTOPK_SERVE_K must be <= " +
+                   std::to_string(dataset->num_items()) + ", the items in " +
+                   dataset_name);
   }
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
   for (const std::string& name : util::SplitCsv(algo_list)) {
@@ -248,6 +252,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
 
   serve::QueryService service(options);
+  if (warm) service.RestoreCache(snapshot.cache_entries);
   const std::vector<serve::QueryOutcome> outcomes =
       service.Replay(requests, arrivals);
   const serve::ServeReport report = serve::BuildServeReport(
