@@ -15,6 +15,13 @@ namespace {
 
 constexpr int kMaxDivergenceWarnings = 5;
 
+// A periodic snapshot waits until the judgment cache holds at least this
+// many times the last image's pairs. Each periodic image is then at most
+// half the next, so they sum to under two final images, and with the
+// final one all the images a run writes add up to at most about three:
+// snapshot cost follows the cache's size, not the number of barriers.
+constexpr int64_t kSnapshotGrowth = 2;
+
 bool BitsEqual(double a, double b) {
   uint64_t ab, bb;
   std::memcpy(&ab, &a, sizeof(ab));
@@ -61,6 +68,8 @@ util::Status PersistenceManager::Open() {
     counters_.wal_truncated = recovered_->wal_truncated ? 1 : 0;
     if (recovered_->has_snapshot) {
       last_snapshot_barrier_ = recovered_->snapshot.barrier.barrier;
+      last_snapshot_pairs_ =
+          static_cast<int64_t>(recovered_->snapshot.cache_entries.size());
     }
     if (recovered_->wal_truncated) {
       std::fprintf(stderr,
@@ -148,6 +157,7 @@ void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
 
 util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
                                            int64_t next_arrival, int64_t done,
+                                           int64_t cache_pairs,
                                            const CacheImageSource& source) {
   if (!enabled()) return util::Status::Ok();
   const int64_t seq = next_barrier_++;
@@ -185,7 +195,10 @@ util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
   }
 
   if (options_.snapshot_every > 0 &&
-      seq - last_snapshot_barrier_ >= options_.snapshot_every) {
+      seq - last_snapshot_barrier_ >= options_.snapshot_every &&
+      (last_snapshot_barrier_ < 0 ||
+       cache_pairs >= std::max(kSnapshotGrowth * last_snapshot_pairs_,
+                               last_snapshot_pairs_ + 1))) {
     CROWDTOPK_RETURN_IF_ERROR(TakeSnapshot(source, /*complete=*/false));
   }
   return util::Status::Ok();
@@ -206,6 +219,7 @@ util::Status PersistenceManager::TakeSnapshot(const CacheImageSource& source,
   ++counters_.snapshots;
   counters_.snapshot_bytes = bytes;
   last_snapshot_barrier_ = data.barrier.barrier;
+  last_snapshot_pairs_ = static_cast<int64_t>(data.cache_entries.size());
   writer_->Rotate();
   return Prune();
 }

@@ -16,8 +16,10 @@
 //     digest), making "byte-identical warm state" a checked property
 //     instead of an assumption;
 //   * live durability past the frontier — one framed, CRC'd, optionally
-//     fsynced WAL barrier record per quiescence barrier, snapshots every
-//     `snapshot_every` barriers, older artifacts pruned.
+//     fsynced WAL barrier record per quiescence barrier; a periodic
+//     snapshot at least `snapshot_every` barriers after the last one, and
+//     only once the judgment cache has doubled since the last image; the
+//     complete image at Finalize; older artifacts pruned.
 //
 // The manager is driven from the service thread only (OnEvent between
 // barriers, OnBarrier at each quiescence point); it has no locking of its
@@ -44,7 +46,10 @@ namespace crowdtopk::persist {
 struct PersistOptions {
   // Persist directory; empty disables the subsystem entirely.
   std::string dir;
-  // Snapshot every N barriers; <= 0 writes only the final snapshot.
+  // Minimum barriers between periodic snapshots. A barrier this far past
+  // the last snapshot takes one only if the generation has none yet or the
+  // judgment cache has doubled since the last image (manager.cc).
+  // <= 0 writes only the final snapshot.
   int64_t snapshot_every = 8;
   // fdatasync each WAL batch before proceeding past its barrier.
   bool wal_fsync = true;
@@ -119,10 +124,12 @@ class PersistenceManager {
 
   // Seals the events since the previous barrier: verifies during catch-up,
   // appends the barrier record + maybe snapshots when live. `round`,
-  // `now_seconds`, `next_arrival`, `done` describe the replay position.
+  // `now_seconds`, `next_arrival`, `done` describe the replay position;
+  // `cache_pairs` is the committed cache size (the size `source` would
+  // export), which decides whether a snapshot is due without exporting.
   util::Status OnBarrier(int64_t round, double now_seconds,
                          int64_t next_arrival, int64_t done,
-                         const CacheImageSource& source);
+                         int64_t cache_pairs, const CacheImageSource& source);
 
   // Writes the final (complete) snapshot and prunes old artifacts.
   util::Status Finalize(const CacheImageSource& source);
@@ -153,7 +160,8 @@ class PersistenceManager {
   int64_t next_barrier_ = 0;
   BarrierRecord last_barrier_;
   bool sealed_any_ = false;
-  int64_t last_snapshot_barrier_ = -1;
+  int64_t last_snapshot_barrier_ = -1;  // -1: none written or recovered
+  int64_t last_snapshot_pairs_ = 0;     // cache entries in that image
   bool halted_ = false;
   int divergence_warnings_ = 0;
 

@@ -289,9 +289,10 @@ util::Status QueryService::SealBarrier(const std::vector<int64_t>& finished,
   // this verifies the re-derived digest against the durable record; live,
   // it appends one WAL barrier record (and maybe a snapshot).
   const bool was_catchup = persist_->in_catchup();
-  const util::Status status =
-      persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                          next_arrival, done, [this] { return ExportCache(); });
+  const util::Status status = persist_->OnBarrier(
+      scheduler_->round(), scheduler_->now_seconds(), next_arrival, done,
+      cache_ == nullptr ? 0 : cache_->num_pairs(),
+      [this] { return ExportCache(); });
   if (was_catchup && !persist_->in_catchup()) {
     replayed_microtasks_ = scheduler_->assignment_stats().completed;
   }

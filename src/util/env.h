@@ -97,8 +97,10 @@ bool CacheTransitivity();
 // (CROWDTOPK_PERSIST_DIR). Empty (the default) disables persistence.
 std::string PersistDir();
 
-// Quiescence barriers between snapshots (CROWDTOPK_SNAPSHOT_EVERY, default
-// 8). <= 0 writes only the final completion snapshot.
+// Minimum quiescence barriers between periodic snapshots
+// (CROWDTOPK_SNAPSHOT_EVERY, default 8); a snapshot also waits until the
+// judgment cache has doubled. <= 0 writes only the final completion
+// snapshot.
 int64_t SnapshotEvery();
 
 // CROWDTOPK_WAL_FSYNC (default 1) forces every barrier's WAL append to
@@ -107,7 +109,8 @@ int64_t SnapshotEvery();
 bool WalFsync();
 
 // WAL segment rotation threshold in bytes (CROWDTOPK_WAL_SEGMENT_BYTES,
-// default 1 MiB). Mostly a test knob: tiny values force multi-segment logs.
+// default 1 MiB; crowdtopk_serve refuses values < 1). Mostly a test knob:
+// tiny values force multi-segment logs.
 int64_t WalSegmentBytes();
 
 // Crash-injection point (CROWDTOPK_PERSIST_KILL_BARRIER, default -1 = off):

@@ -5,6 +5,8 @@
 // mid-run and resumed from disk produces byte-identical reports for any
 // worker count, even after the WAL tail is corrupted.
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -409,6 +411,125 @@ TEST(RecoveryTest, RefusesFormatVersion1DirectoryUntouched) {
   EXPECT_EQ(files.size(), 2u);
 }
 
+// ------------------------------------------------------------ manager
+
+// Where a manager snapshots while its cache grows 0, 0, 1, 2, ..., 100
+// pairs over barriers 0..101: the barriers of its periodic snapshots and
+// the pairs of every image it wrote, the final one last.
+struct Cadence {
+  std::vector<int64_t> barriers;
+  std::vector<int64_t> image_pairs;
+  PersistCounters counters;
+};
+
+Cadence DriveGrowingCache(const PersistOptions& options) {
+  PersistenceManager manager(options, /*config_fingerprint=*/7);
+  EXPECT_TRUE(manager.Open().ok());
+  int64_t pairs = 0;
+  const PersistenceManager::CacheImageSource source = [&pairs] {
+    std::vector<cache::ExportedEntry> image(pairs, SampleEntry());
+    for (int64_t i = 0; i < pairs; ++i) {
+      image[i].lo = static_cast<crowd::ItemId>(2 * i);
+      image[i].hi = static_cast<crowd::ItemId>(2 * i + 1);
+    }
+    return image;
+  };
+  Cadence cadence;
+  for (int64_t b = 0; b <= 101; ++b) {
+    pairs = std::max<int64_t>(0, b - 1);
+    const int64_t before = manager.counters().snapshots;
+    EXPECT_TRUE(manager
+                    .OnBarrier(/*round=*/b, static_cast<double>(b),
+                               /*next_arrival=*/0, /*done=*/0, pairs, source)
+                    .ok());
+    if (manager.counters().snapshots > before) {
+      cadence.barriers.push_back(b);
+      cadence.image_pairs.push_back(pairs);
+    }
+  }
+  const int64_t before = manager.counters().snapshots;
+  EXPECT_TRUE(manager.Finalize(source).ok());
+  if (manager.counters().snapshots > before) {
+    cadence.image_pairs.push_back(pairs);
+  }
+  cadence.counters = manager.counters();
+  return cadence;
+}
+
+// A periodic snapshot needs both snapshot_every barriers since the last
+// one and, once the generation has one, a cache at least twice that
+// image's size. However small snapshot_every is, the images one run
+// writes then add up to at most three final images.
+TEST(ManagerTest, PeriodicSnapshotsWaitForTheCacheToDouble) {
+  const struct {
+    int64_t every;
+    std::vector<int64_t> barriers;
+  } cases[] = {
+      // Images of 0, 1, 2, 4, 8, 16, 32 and 64 pairs, then the final 100.
+      {1, {0, 2, 3, 5, 9, 17, 33, 65}},
+      // Images of 2, 6, 12, 24, 48 and 96 pairs, then the final 100.
+      {4, {3, 7, 13, 25, 49, 97}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.every);
+    PersistOptions options;
+    options.dir = FreshDir("manager_cadence_every" + std::to_string(c.every));
+    options.snapshot_every = c.every;
+    options.wal_fsync = false;
+    const Cadence cadence = DriveGrowingCache(options);
+    EXPECT_EQ(cadence.barriers, c.barriers);
+    ASSERT_EQ(cadence.image_pairs.size(), c.barriers.size() + 1);
+    EXPECT_EQ(cadence.image_pairs.back(), 100);
+    int64_t written = 0;
+    for (const int64_t pairs : cadence.image_pairs) written += pairs;
+    EXPECT_LE(written, 3 * cadence.image_pairs.back());
+
+    // The newest two images stay: the last periodic one and the final one.
+    std::vector<std::string> files;
+    ASSERT_TRUE(util::ListDirectoryFiles(options.dir, &files).ok());
+    std::vector<int64_t> kept;
+    for (const std::string& name : files) {
+      int64_t barrier = 0;
+      if (ParseSnapshotName(name, &barrier)) kept.push_back(barrier);
+    }
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(kept, (std::vector<int64_t>{c.barriers.back(), 101}));
+  }
+}
+
+// A resumed manager counts the cadence from the recovered image, its
+// barrier and its pairs, or from nothing when no image was recovered, so
+// it snapshots where the uninterrupted run does.
+TEST(ManagerTest, ResumedCadenceStartsFromTheRecoveredImage) {
+  const struct {
+    int64_t halt;
+    std::vector<int64_t> before_halt;
+    std::vector<int64_t> after_resume;
+  } cases[] = {
+      {2, {}, {3, 7, 13, 25, 49, 97}},
+      {20, {3, 7, 13}, {25, 49, 97}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.halt);
+    PersistOptions options;
+    options.dir = FreshDir("manager_cadence_halt" + std::to_string(c.halt));
+    options.snapshot_every = 4;
+    options.wal_fsync = false;
+    options.halt_after_barrier = c.halt;
+    EXPECT_EQ(DriveGrowingCache(options).barriers, c.before_halt);
+
+    options.halt_after_barrier = -1;
+    options.resume = true;
+    const Cadence resumed = DriveGrowingCache(options);
+    EXPECT_EQ(resumed.counters.durable_barrier, c.halt);
+    EXPECT_EQ(resumed.counters.snapshot_loaded, c.before_halt.empty() ? 0 : 1);
+    EXPECT_EQ(resumed.counters.cache_image_verified,
+              c.before_halt.empty() ? 0 : 1);
+    EXPECT_EQ(resumed.counters.divergent_barriers, 0);
+    EXPECT_EQ(resumed.barriers, c.after_resume);
+  }
+}
+
 // --------------------------------------------------- end-to-end serve
 
 struct ReplayResult {
@@ -536,6 +657,75 @@ TEST(PersistEndToEndTest, WalHoldsOnlyBarrierRecords) {
   for (int64_t b = 0; b <= last; ++b) {
     EXPECT_EQ(read->records[b].type, RecordType::kBarrier);
     EXPECT_EQ(read->records[b].barrier.barrier, b);
+  }
+}
+
+// At snapshot_every 1 a cached replay writes an image each time its cache
+// has doubled, plus the final one; with the cache off it writes the first
+// due image and the final one. Neither changes the report.
+TEST(PersistEndToEndTest, SnapshotsFollowCacheGrowth) {
+  for (const bool with_cache : {true, false}) {
+    SCOPED_TRACE(with_cache);
+    const ReplayResult unpersisted = RunReplay("", false, -1, 1, with_cache);
+    const std::string dir = FreshDir(
+        std::string("persist_cadence_") + (with_cache ? "cache" : "nocache"));
+    const ReplayResult persisted =
+        RunReplay(dir, false, -1, 1, with_cache, {}, /*snapshot_every=*/1);
+    ASSERT_TRUE(persisted.persist_status.ok());
+    EXPECT_EQ(persisted.report_jsonl, unpersisted.report_jsonl);
+
+    SnapshotData final_snapshot;
+    ASSERT_TRUE(LoadLatestSnapshot(dir, &final_snapshot).ok());
+    ASSERT_TRUE(final_snapshot.complete);
+    // Far more barriers than images: one image per due barrier would fail.
+    ASSERT_GT(final_snapshot.barrier.barrier, 16);
+    const int64_t pairs =
+        static_cast<int64_t>(final_snapshot.cache_entries.size());
+    if (with_cache) {
+      ASSERT_GT(pairs, 0);
+      const int64_t floor_log2 =
+          static_cast<int64_t>(std::bit_width(static_cast<uint64_t>(pairs))) -
+          1;
+      EXPECT_LE(persisted.counters.snapshots, floor_log2 + 3);
+    } else {
+      EXPECT_EQ(pairs, 0);
+      EXPECT_EQ(persisted.counters.snapshots, 2);
+    }
+  }
+}
+
+// The cadence decides only how many images are written: a cached replay
+// at snapshot_every 0, 1 and 8 gives the same report and the same final
+// barrier record and cache image.
+TEST(PersistEndToEndTest, CadenceNeverChangesOutcomes) {
+  const auto image_bytes = [](const SnapshotData& snapshot) {
+    std::string bytes;
+    for (const cache::ExportedEntry& entry : snapshot.cache_entries) {
+      bytes += EncodeCacheInsert(entry);
+    }
+    return bytes;
+  };
+  std::vector<std::string> reports;
+  std::vector<SnapshotData> finals;
+  for (const int64_t every : {int64_t{0}, int64_t{1}, int64_t{8}}) {
+    SCOPED_TRACE(every);
+    const std::string dir =
+        FreshDir("persist_cadence_outcomes" + std::to_string(every));
+    const ReplayResult result =
+        RunReplay(dir, false, -1, 1, /*with_cache=*/true, {}, every);
+    ASSERT_TRUE(result.persist_status.ok());
+    reports.push_back(result.report_jsonl);
+    finals.emplace_back();
+    ASSERT_TRUE(LoadLatestSnapshot(dir, &finals.back()).ok());
+    ASSERT_TRUE(finals.back().complete);
+  }
+  ASSERT_FALSE(finals[0].cache_entries.empty());
+  for (size_t i = 1; i < finals.size(); ++i) {
+    EXPECT_EQ(reports[i], reports[0]);
+    EXPECT_EQ(EncodeBarrier(finals[i].barrier),
+              EncodeBarrier(finals[0].barrier));
+    EXPECT_EQ(image_bytes(finals[i]), image_bytes(finals[0]));
+    EXPECT_EQ(finals[i].cache_digest, finals[0].cache_digest);
   }
 }
 

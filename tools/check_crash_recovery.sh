@@ -13,10 +13,16 @@
 # degradation, not a crash), report dropped bytes, and still reproduce the
 # reference report byte-for-byte — corruption only lengthens catch-up.
 #
-# Job 3 — corrupted snapshot: flip a byte near the end of the newest
-# snapshot before resuming. Recovery must skip it (snapshots_skipped=1 on
-# the persist: line), fall back to the previous snapshot, exit 0, and
-# still reproduce the reference report byte-for-byte.
+# Job 3 — corrupted snapshot: kill the run past its second periodic
+# snapshot (a periodic snapshot waits until the judgment cache has
+# doubled, so this run's first two with cache entries land late; the
+# barrier-40 kill of jobs 1 and 2 leaves only the empty barrier-7 image),
+# require two snapshot files, and flip a byte near the end of the newest
+# before resuming. Recovery must skip it (snapshots_skipped=1 on the
+# persist: line), fall back to the previous snapshot and verify its cache
+# image (persist/snapshot_loaded and persist/cache_image_verified are 1 in
+# the persist trace), exit 0, and still reproduce the reference report
+# byte-for-byte.
 #
 # Usage: tools/check_crash_recovery.sh <build_dir>
 set -eu
@@ -30,6 +36,7 @@ trap 'rm -rf "$work"' EXIT
 
 queries=12
 kill_barrier=40
+snapshot_kill_barrier=1250
 
 run_serve() {  # run_serve <jobs> <report> <persist_dir> [extra args...]
   local jobs="$1" report="$2" dir="$3"; shift 3
@@ -97,10 +104,16 @@ dir="$work/persist_snapshot"
 status=0
 env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
     CROWDTOPK_JOBS=1 CROWDTOPK_PERSIST_DIR="$dir" \
-    CROWDTOPK_PERSIST_KILL_BARRIER="$kill_barrier" \
+    CROWDTOPK_PERSIST_KILL_BARRIER="$snapshot_kill_barrier" \
     "$serve" > /dev/null 2>&1 || status=$?
 [ "$status" -eq 137 ] || { echo "FAIL: kill run exited $status"; exit 1; }
 
+snapshots="$(ls "$dir"/snapshot-*.snap | wc -l)"
+if [ "$snapshots" -lt 2 ]; then
+  echo "FAIL: kill at barrier $snapshot_kill_barrier left $snapshots" \
+       "snapshot(s); the fallback needs 2"
+  exit 1
+fi
 snapshot="$(ls "$dir"/snapshot-*.snap | sort | tail -1)"
 size="$(stat -c%s "$snapshot")"
 printf '\xff' | dd of="$snapshot" bs=1 seek=$((size - 3)) conv=notrunc 2>/dev/null
@@ -116,6 +129,15 @@ if ! grep -q "snapshots_skipped=1 " "$work/snapshot_stdout.txt"; then
   grep "^persist:" "$work/snapshot_stdout.txt" || true
   exit 1
 fi
-echo "   OK: clean exit, skipped snapshot reported, report byte-identical"
+for counter in snapshot_loaded cache_image_verified; do
+  if ! grep -q "\"name\":\"persist/$counter\",\"value\":1}" \
+      "$dir/persist.trace.jsonl"; then
+    echo "FAIL: resume did not report persist/$counter 1"
+    grep "persist/$counter\"" "$dir/persist.trace.jsonl" || true
+    exit 1
+  fi
+done
+echo "   OK: clean exit, skipped snapshot reported, older image loaded and"
+echo "       verified, report byte-identical"
 
 echo "PASS: crash-recovery determinism checks"

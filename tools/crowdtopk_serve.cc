@@ -78,10 +78,12 @@ Cross-query cache knobs
 Durable-state knobs (src/persist, docs/PERSISTENCE.md)
   CROWDTOPK_PERSIST_DIR     snapshot + WAL directory; empty = persistence
                             off                              (default "")
-  CROWDTOPK_SNAPSHOT_EVERY  barriers between snapshots, <=0 = final only
-                                                             (default 8)
+  CROWDTOPK_SNAPSHOT_EVERY  minimum barriers between snapshots; a
+                            snapshot also waits until the judgment cache
+                            has doubled; <=0 = final only    (default 8)
   CROWDTOPK_WAL_FSYNC       =1 fdatasync every WAL batch     (default 1)
-  CROWDTOPK_WAL_SEGMENT_BYTES  WAL segment rotation size     (default 1MiB)
+  CROWDTOPK_WAL_SEGMENT_BYTES  WAL segment rotation size, >= 1
+                                                             (default 1MiB)
   CROWDTOPK_PERSIST_KILL_BARRIER  _Exit(137) after barrier N is durable —
                             crash-recovery CI hook           (default -1)
 
@@ -181,6 +183,9 @@ int main(int argc, char** argv) {
   const util::Status schedule =
       serve::CheckScheduleOptions(options.schedule, options.max_inflight);
   if (!schedule.ok()) return BadKnob(schedule.message());
+  if (options.persist.wal_segment_bytes < 1) {
+    return BadKnob("CROWDTOPK_WAL_SEGMENT_BYTES must be >= 1");
+  }
   if ((resume || warm) && options.persist.dir.empty()) {
     std::fprintf(stderr,
                  "--%s requires CROWDTOPK_PERSIST_DIR (try --help)\n",
