@@ -1,16 +1,15 @@
 #include "cache/cache_client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
 
 namespace crowdtopk::cache {
 
-CacheClient::CacheClient(JudgmentCache* cache, int64_t query_id,
-                         int64_t universe,
+CacheClient::CacheClient(const JudgmentCache* cache, int64_t universe,
                          std::vector<crowd::ItemId> universe_ids)
     : cache_(cache),
-      query_id_(query_id),
       universe_(universe),
       universe_ids_(std::move(universe_ids)) {
   CROWDTOPK_CHECK(cache != nullptr);
@@ -52,8 +51,24 @@ LookupResult CacheClient::Lookup(crowd::ItemId i, crowd::ItemId j,
 
 void CacheClient::Record(crowd::ItemId i, crowd::ItemId j, JudgmentKind kind,
                          const CachedComparison& entry) {
-  cache_->Record(query_id_, universe_, Translate(i), Translate(j), kind,
-                 entry);
+  const crowd::ItemId a = Translate(i);
+  const crowd::ItemId b = Translate(j);
+  CROWDTOPK_CHECK_NE(a, b);
+  CROWDTOPK_CHECK_GE(entry.count, 1);
+  // Staging nothing keeps a zero-capacity cache's barrier digests — and so
+  // its WAL — identical to running without a cache.
+  if (cache_->options().capacity == 0) return;
+  ExportedEntry staged;
+  staged.universe = universe_;
+  staged.kind = static_cast<int32_t>(kind);
+  staged.lo = std::min(a, b);
+  staged.hi = std::max(a, b);
+  staged.entry = a < b ? entry : Flip(entry);
+  staged_.push_back(staged);
+}
+
+std::vector<ExportedEntry> CacheClient::TakeStaged() {
+  return std::exchange(staged_, {});
 }
 
 }  // namespace crowdtopk::cache

@@ -26,16 +26,21 @@
 //     directly-judged (never themselves inferred) single-hop chains are
 //     composed, so inference error never compounds.
 //
-// Concurrency and determinism (the src/exec contract): the committed map is
-// mutex-sharded for cheap concurrent lookups. Under the serving layer
-// (src/serve) the cache runs in *deferred-commit* mode: driver threads stage
-// their completed comparisons, and the service thread applies the staged
-// inserts at the scheduler's existing quiescence barriers — sorted by query
-// id — so every driver observes a snapshot that is a pure function of
-// (options, seed, trace) and the replay stays byte-identical for any
+// One writer (the src/exec determinism contract). Each query stages its
+// completed comparisons in its own CacheClient (cache_client.h). Only the
+// serving layer's service thread writes the cache: at a quiescence barrier
+// (QueryService::SealBarrier commits every live client's staged inserts in
+// query-id order) or between Replay calls (QueryService::RestoreCache).
+// Lookups may run concurrently with each other, never with a write, so the
+// map takes no lock: the scheduler mutex that parks and unparks drivers,
+// together with thread start, orders each barrier's commits before the next
+// lookups. Every driver therefore observes a cache that is a pure function
+// of (options, seed, trace), and the replay stays byte-identical for any
 // CROWDTOPK_JOBS value. Two queries that race on the same cold pair within
 // one global round both buy it (the price of determinism); the merge rule
 // below resolves their inserts identically regardless of thread timing.
+// Other owners (the shard router's gossip merge, tests) use a cache from
+// one thread.
 //
 // Entries live in per-universe namespaces: queries only share judgments when
 // their CacheClients declare the same universe (same oracle) and translate
@@ -44,11 +49,11 @@
 #ifndef CROWDTOPK_CACHE_JUDGMENT_CACHE_H_
 #define CROWDTOPK_CACHE_JUDGMENT_CACHE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crowd/types.h"
@@ -73,11 +78,6 @@ struct CacheOptions {
   int64_t capacity = -1;
   // Serve single-hop transitively inferred verdicts (off by default).
   bool transitivity = false;
-  // Deferred-commit mode: Record() stages inserts per query and only
-  // CommitPending() — called at a point where no driver runs, e.g. the
-  // serving layer's quiescence barrier — applies them, in query-id order.
-  // When false, Record() commits immediately (single-threaded replays).
-  bool deferred_commit = false;
 };
 
 // One memoised comparison, oriented so that a positive mean and kLeftWins
@@ -91,7 +91,8 @@ struct CachedComparison {
   double alpha = 1.0;
   // Bag summary (count, mean, Welford M2) — restoring these into a fresh
   // RunningStats reproduces the donor session's accumulator bit-for-bit.
-  // count == 0 for inferred verdicts (no samples to seed).
+  // count == 0 for inferred verdicts (no samples to seed); every stored
+  // entry has count >= 1.
   int64_t count = 0;
   double mean = 0.0;
   double m2 = 0.0;
@@ -113,7 +114,10 @@ struct LookupResult {
   CachedComparison entry;
 };
 
-// Monotone counters; readable at any time, exact once quiescent.
+// Monotone counters. JudgmentCache::stats() fills the commit-side ones and
+// leaves the lookup-side ones (lookups, hits, topups, inferred, misses,
+// seeded_samples) 0: CacheClient counts those per query, and
+// QueryService::cache_stats() sums its retired clients' counts into them.
 struct CacheStats {
   int64_t lookups = 0;
   int64_t hits = 0;
@@ -133,9 +137,9 @@ struct CacheStats {
   std::vector<std::pair<int64_t, int64_t>> dropped_by_universe;
 };
 
-// One committed entry in canonical orientation (lo < hi), as exported by
-// JudgmentCache::Export and restored by RestoreEntries — the on-disk unit
-// of the durability layer's snapshots (src/persist).
+// One entry in canonical orientation (lo < hi): what a CacheClient stages,
+// JudgmentCache::Commit applies, Export dumps and RestoreEntries restores —
+// the on-disk unit of the durability layer's snapshots (src/persist).
 struct ExportedEntry {
   int64_t universe = 0;
   int32_t kind = 0;
@@ -143,6 +147,10 @@ struct ExportedEntry {
   crowd::ItemId hi = 0;
   CachedComparison entry;
 };
+
+// The same comparison with its operands swapped: verdict reversed, mean
+// negated.
+CachedComparison Flip(CachedComparison entry);
 
 class JudgmentCache {
  public:
@@ -156,39 +164,27 @@ class JudgmentCache {
   // Looks up the pair (i, j) of `universe` for a query at significance
   // `alpha` and per-pair budget `budget`. The returned entry is oriented for
   // (i, j) as passed (mean sign and outcome flipped from canonical storage
-  // when needed). Thread-safe.
+  // when needed). Counts nothing: CacheClient counts its own lookups.
   LookupResult Lookup(int64_t universe, crowd::ItemId i, crowd::ItemId j,
-                      double alpha, int64_t budget, JudgmentKind kind);
+                      double alpha, int64_t budget, JudgmentKind kind) const;
 
-  // Records a completed comparison, `entry` oriented for (i, j) as passed.
-  // Immediate mode commits now; deferred mode stages under `query_id` until
-  // CommitPending(). An existing entry is only replaced by a strictly
+  // Applies staged inserts (CacheClient::TakeStaged) in order; new pairs
+  // count as inserts. An existing entry is only replaced by a strictly
   // better one (decisive beats tie, then lower alpha, then higher count),
   // so commit order between equal entries never changes the map.
-  // Thread-safe.
-  void Record(int64_t query_id, int64_t universe, crowd::ItemId i,
-              crowd::ItemId j, JudgmentKind kind,
-              const CachedComparison& entry);
+  void Commit(const std::vector<ExportedEntry>& entries);
 
-  // Applies staged inserts in (query id, staging order). Call only while no
-  // driver is recording or looking up — the serving layer calls it at its
-  // quiescence barriers. No-op in immediate mode. When `applied` is
-  // non-null, every staged insert is appended to it in apply order
-  // (canonical orientation, regardless of the capacity/merge outcome) — the
-  // write-ahead log records exactly this sequence.
-  void CommitPending(std::vector<ExportedEntry>* applied = nullptr);
-
-  // Deterministic dump of every committed entry, sorted by (universe, pair,
-  // kind): the snapshot image. Call only while quiescent.
+  // Deterministic dump of every entry, sorted by (universe, pair, kind):
+  // the snapshot image.
   std::vector<ExportedEntry> Export() const;
 
-  // Commits previously exported entries into an (typically fresh) cache —
-  // the warm-restart path. Counted under CacheStats::restored rather than
-  // inserts; the capacity bound still applies. Call only while quiescent.
+  // Applies previously exported entries, typically into a fresh cache — the
+  // warm-restart and gossip path. New pairs count as restored rather than
+  // inserts; the merge rule and the capacity bound are Commit's.
   void RestoreEntries(const std::vector<ExportedEntry>& entries);
 
   CacheStats stats() const;
-  int64_t num_pairs() const { return pairs_.load(std::memory_order_relaxed); }
+  int64_t num_pairs() const { return static_cast<int64_t>(entries_.size()); }
 
  private:
   struct Key {
@@ -202,14 +198,6 @@ class JudgmentCache {
   };
   struct KeyHash {
     size_t operator()(const Key& key) const;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, CachedComparison, KeyHash> entries;
-  };
-  struct Staged {
-    Key key;
-    CachedComparison entry;  // canonical orientation
   };
   // Neighbours with decisive entries, per (universe, item, kind); sorted.
   struct AdjKey {
@@ -225,53 +213,29 @@ class JudgmentCache {
     size_t operator()(const AdjKey& key) const;
   };
 
-  static constexpr int kNumShards = 16;
-
-  Shard* ShardFor(const Key& key);
-  const Shard* ShardFor(const Key& key) const;
-  // Commits one canonical-orientation entry into its shard (and the
-  // adjacency index when decisive). Immediate mode calls it from Record;
-  // deferred mode from CommitPending; RestoreEntries passes
-  // `restored` = true so warm-start imports are counted separately.
-  void Commit(const Key& key, const CachedComparison& entry,
-              bool restored = false);
+  // Merges canonical-orientation entries into the map (and the adjacency
+  // index when decisive), counting new pairs into `*added`.
+  void Apply(const std::vector<ExportedEntry>& entries, int64_t* added);
   // True when `incoming` should replace `existing`.
   static bool Better(const CachedComparison& incoming,
                      const CachedComparison& existing);
   // Single-hop transitive inference for canonical pair (lo, hi); returns a
   // canonical-orientation entry on success.
   bool TryInfer(int64_t universe, crowd::ItemId lo, crowd::ItemId hi,
-                double alpha, JudgmentKind kind, CachedComparison* out);
+                double alpha, JudgmentKind kind, CachedComparison* out) const;
   // Fetches the committed canonical entry for (a, b), oriented for (a, b).
   bool FindOriented(int64_t universe, crowd::ItemId a, crowd::ItemId b,
                     JudgmentKind kind, CachedComparison* out) const;
 
   const CacheOptions options_;
-  Shard shards_[kNumShards];
-  std::atomic<int64_t> pairs_{0};
-
-  std::mutex staged_mu_;
-  std::map<int64_t, std::vector<Staged>> staged_;  // query id -> inserts
-
-  std::mutex adjacency_mu_;
+  std::unordered_map<Key, CachedComparison, KeyHash> entries_;
   std::unordered_map<AdjKey, std::vector<crowd::ItemId>, AdjKeyHash>
       adjacency_;
 
-  // Stats counters (relaxed: monotone, read for reporting only).
-  std::atomic<int64_t> lookups_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> topups_{0};
-  std::atomic<int64_t> inferred_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> inserts_{0};
-  std::atomic<int64_t> upgrades_{0};
-  std::atomic<int64_t> dropped_capacity_{0};
-  std::atomic<int64_t> seeded_samples_{0};
-  std::atomic<int64_t> restored_{0};
-
-  // Per-universe capacity-drop counts (the drop path is already the slow
-  // path, so a mutex-guarded map costs nothing measurable).
-  mutable std::mutex dropped_mu_;
+  int64_t inserts_ = 0;
+  int64_t upgrades_ = 0;
+  int64_t restored_ = 0;
+  // Capacity drops per universe; CacheStats::dropped_capacity is their sum.
   std::map<int64_t, int64_t> dropped_by_universe_;
 };
 

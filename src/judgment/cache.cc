@@ -31,7 +31,7 @@ ComparisonCache::~ComparisonCache() {
   // Publish finished sessions this query funded itself (workload beyond the
   // seed): pure hits and inferred verdicts carry nothing new. Keys are
   // iterated in sorted order so the publication sequence — and therefore the
-  // deferred-commit staging order — is independent of hash-map iteration.
+  // client's staging order — is independent of hash-map iteration.
   std::vector<uint64_t> keys;
   keys.reserve(sessions_.size());
   for (const auto& [key, session] : sessions_) {

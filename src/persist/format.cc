@@ -1,6 +1,7 @@
 #include "persist/format.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace crowdtopk::persist {
@@ -62,7 +63,13 @@ bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out) {
   if (outcome < 0 || outcome > 2) return false;
   out->entry.outcome = static_cast<crowd::ComparisonOutcome>(outcome);
   out->entry.decisive = decisive != 0;
-  return true;
+  // Refuse what no cache could have written. A restored entry would reach
+  // RestoreEntries' canonical-pair CHECK, the alpha gate, and through a
+  // lookup SeedFromCache's count CHECK. Each condition fails on a NaN.
+  const cache::CachedComparison& e = out->entry;
+  return out->lo >= 0 && out->lo < out->hi && e.count >= 1 &&
+         e.alpha > 0.0 && e.alpha <= 1.0 && std::isfinite(e.mean) &&
+         std::isfinite(e.m2) && e.m2 >= 0.0;
 }
 
 std::string EncodeCacheInsert(const cache::ExportedEntry& entry) {

@@ -123,7 +123,9 @@ bool DecodeBarrierFields(Decoder* dec, BarrierRecord* out);
 // Serialises / parses a cache entry body (shared by the cache-insert event
 // encoding and the snapshot's cache image). The body has a fixed size:
 // universe, kind, lo, hi, outcome, decisive, alpha, count, mean, m2,
-// first-stage count and sd.
+// first-stage count and sd. Decoding refuses an entry that no cache could
+// have written: it needs 0 <= lo < hi, count >= 1, alpha in (0, 1], and a
+// finite mean and m2 with m2 >= 0.
 inline constexpr size_t kCacheEntryBytes = 8 + 4 * 4 + 1 + 8 * 6;
 void EncodeCacheEntry(const cache::ExportedEntry& entry, Encoder* enc);
 bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out);

@@ -7,7 +7,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "cache/cache_client.h"
 #include "persist/format.h"
 #include "metrics/ranking_metrics.h"
 #include "metrics/trace_aggregate.h"
@@ -97,13 +96,10 @@ QueryService::QueryService(const ServeOptions& options)
 void QueryService::RestoreCache(
     const std::vector<cache::ExportedEntry>& entries) {
   if (!options_.cache.enabled) return;
-  // Deferred commit is mandatory under concurrent drivers: inserts apply
-  // only at the quiescence barriers of Replay, in query-id order, keeping
-  // the replay bit-identical for any jobs value.
-  cache::CacheOptions cache_options = options_.cache;
-  cache_options.deferred_commit = true;
-  cache_ = std::make_unique<cache::JudgmentCache>(cache_options);
+  CROWDTOPK_CHECK(clients_.empty());
+  cache_ = std::make_unique<cache::JudgmentCache>(options_.cache);
   cache_->RestoreEntries(entries);
+  retired_ = cache::ClientStats();
 }
 
 std::vector<QueryOutcome> QueryService::Replay(
@@ -203,7 +199,16 @@ std::vector<QueryOutcome> QueryService::Replay(
       scheduler_->AdmitQuery(id, stream);
       ++inflight;
       if (persist_ != nullptr) persist_->OnEvent(persist::EncodeAdmit(id));
-      drivers.emplace_back([this, id] { DriverMain(id); });
+      cache::CacheClient* client = nullptr;
+      if (cache_ != nullptr) {
+        // The client outlives its query until the next barrier commits what
+        // it staged: SPR's selection cache publishes mid-query.
+        auto& slot = clients_[id];
+        slot = std::make_unique<cache::CacheClient>(
+            cache_.get(), universes_[id], requests[id].cache_item_ids);
+        client = slot.get();
+      }
+      drivers.emplace_back([this, id, client] { DriverMain(id, client); });
     }
 
     scheduler_->WaitQuiescent();
@@ -262,17 +267,29 @@ std::vector<QueryOutcome> QueryService::Replay(
 
 util::Status QueryService::SealBarrier(const std::vector<int64_t>& finished,
                                       int64_t next_arrival, int64_t done) {
-  // All drivers are parked or finished here: apply this round's staged
-  // cache inserts so the next round's lookups see them. The applied list
-  // (query-id order) is exactly the digest's cache-insert sequence.
-  std::vector<cache::ExportedEntry> applied;
+  // All drivers are parked or finished here: commit this round's staged
+  // cache inserts so the next round's lookups see them. Their order (query
+  // id, then staging order) is exactly the digest's cache-insert sequence.
+  for (const auto& [id, client] : clients_) {
+    const std::vector<cache::ExportedEntry> staged = client->TakeStaged();
+    cache_->Commit(staged);
+    if (persist_ == nullptr) continue;
+    for (const cache::ExportedEntry& entry : staged) {
+      persist_->OnEvent(persist::EncodeCacheInsert(entry));
+    }
+  }
   if (cache_ != nullptr) {
-    cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
+    for (const int64_t id : finished) {
+      const cache::ClientStats& cs = clients_.at(id)->stats();
+      retired_.hits += cs.hits;
+      retired_.topups += cs.topups;
+      retired_.inferred += cs.inferred;
+      retired_.misses += cs.misses;
+      retired_.seeded_samples += cs.seeded_samples;
+      clients_.erase(id);
+    }
   }
   if (persist_ == nullptr) return util::Status::Ok();
-  for (const cache::ExportedEntry& entry : applied) {
-    persist_->OnEvent(persist::EncodeCacheInsert(entry));
-  }
   for (const int64_t id : finished) {
     persist::CompleteRecord record;
     record.query_id = id;
@@ -307,7 +324,15 @@ void QueryService::KeepPersistError(const util::Status& status) {
 }
 
 cache::CacheStats QueryService::cache_stats() const {
-  return cache_ == nullptr ? cache::CacheStats() : cache_->stats();
+  if (cache_ == nullptr) return cache::CacheStats();
+  cache::CacheStats stats = cache_->stats();
+  stats.hits = retired_.hits;
+  stats.topups = retired_.topups;
+  stats.inferred = retired_.inferred;
+  stats.misses = retired_.misses;
+  stats.lookups = stats.hits + stats.topups + stats.inferred + stats.misses;
+  stats.seeded_samples = retired_.seeded_samples;
+  return stats;
 }
 
 std::vector<cache::ExportedEntry> QueryService::ExportCache() const {
@@ -361,7 +386,7 @@ void QueryService::WritePersistTrace() const {
   }
 }
 
-void QueryService::DriverMain(int64_t query_id) {
+void QueryService::DriverMain(int64_t query_id, cache::CacheClient* client) {
   const QueryRequest& request = (*requests_)[query_id];
   const int64_t stream =
       request.seed_stream >= 0 ? request.seed_stream : query_id;
@@ -371,12 +396,7 @@ void QueryService::DriverMain(int64_t query_id) {
   telemetry::TraceRecorder recorder;
   const bool tracing = !options_.trace_dir.empty();
   if (tracing) platform.SetRecorder(&recorder);
-  std::unique_ptr<cache::CacheClient> cache_client;
-  if (cache_ != nullptr) {
-    cache_client = std::make_unique<cache::CacheClient>(
-        cache_.get(), query_id, universes_[query_id], request.cache_item_ids);
-    platform.SetCacheClient(cache_client.get());
-  }
+  if (client != nullptr) platform.SetCacheClient(client);
 
   const core::TopKResult result = request.algorithm->Run(&platform, request.k);
   // Flush trailing purchases so the query never finishes with microtasks
@@ -389,8 +409,8 @@ void QueryService::DriverMain(int64_t query_id) {
   o.rounds_private = platform.rounds();
   o.precision_at_k =
       metrics::PrecisionAtK(*request.dataset, result.items, request.k);
-  if (cache_client != nullptr) {
-    const cache::ClientStats& cs = cache_client->stats();
+  if (client != nullptr) {
+    const cache::ClientStats& cs = client->stats();
     o.cache_hits = cs.hits;
     o.cache_topups = cs.topups;
     o.cache_inferred = cs.inferred;

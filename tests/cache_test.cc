@@ -1,9 +1,9 @@
 // Tests for the cross-query judgment cache (src/cache) and its judgment- and
 // serve-layer wiring: hit/top-up confidence rules, orientation and id
 // translation, capacity semantics (0 = byte-identical pass-through),
-// deferred-commit determinism, the transitivity composition rule, bit-exact
-// session resumption against a cold run, and end-to-end TMC savings with
-// bit-identity across serve worker counts.
+// client staging and barrier commits, the transitivity composition rule,
+// bit-exact session resumption against a cold run, and end-to-end TMC
+// savings with bit-identity across serve worker counts.
 
 #include <memory>
 #include <vector>
@@ -51,12 +51,23 @@ CachedComparison TieEntry(int64_t count) {
   return entry;
 }
 
+// Stages `entry`, oriented for (i, j), through a client of `universe` and
+// commits it at once.
+void Put(JudgmentCache* cache, int64_t universe, ItemId i, ItemId j,
+         const CachedComparison& entry) {
+  CacheClient client(cache, universe);
+  client.Record(i, j, JudgmentKind::kPreference, entry);
+  cache->Commit(client.TakeStaged());
+}
+
+// Lookups are counted by the client that makes them.
 TEST(JudgmentCacheTest, MissOnEmpty) {
   JudgmentCache cache(CacheOptions{});
-  const LookupResult result = cache.Lookup(
-      0, 1, 2, 0.02, 1000, JudgmentKind::kPreference);
+  CacheClient client(&cache, /*universe=*/0);
+  const LookupResult result =
+      client.Lookup(1, 2, 0.02, 1000, JudgmentKind::kPreference);
   EXPECT_EQ(result.status, LookupStatus::kMiss);
-  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(client.stats().misses, 1);
 }
 
 // The hit rule: a decisive entry answers only requests whose confidence the
@@ -64,8 +75,8 @@ TEST(JudgmentCacheTest, MissOnEmpty) {
 // requesters get the bag as a top-up seed instead.
 TEST(JudgmentCacheTest, HitOnlyAtCoveringConfidence) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(/*alpha=*/0.02, /*count=*/60, /*mean=*/0.4));
+  Put(&cache, 0, 1, 2,
+      DecisiveEntry(/*alpha=*/0.02, /*count=*/60, /*mean=*/0.4));
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
@@ -82,7 +93,7 @@ TEST(JudgmentCacheTest, HitOnlyAtCoveringConfidence) {
 // the cached funding already covers; a richer requester keeps sampling.
 TEST(JudgmentCacheTest, TieHitRequiresBudgetCoverage) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference, TieEntry(/*count=*/100));
+  Put(&cache, 0, 1, 2, TieEntry(/*count=*/100));
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 100, JudgmentKind::kPreference)
                 .status,
@@ -98,8 +109,8 @@ TEST(JudgmentCacheTest, TieHitRequiresBudgetCoverage) {
 // looking the pair up backwards flips the verdict and negates the mean.
 TEST(JudgmentCacheTest, LookupOrientsEntryForCaller) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, 0, /*i=*/5, /*j=*/3, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, /*mean=*/0.4));  // 5 beats 3
+  Put(&cache, 0, /*i=*/5, /*j=*/3,
+      DecisiveEntry(0.02, 60, /*mean=*/0.4));  // 5 beats 3
 
   const LookupResult forward =
       cache.Lookup(0, 5, 3, 0.02, 1000, JudgmentKind::kPreference);
@@ -116,8 +127,7 @@ TEST(JudgmentCacheTest, LookupOrientsEntryForCaller) {
 // disjoint namespaces. Neither may serve the other.
 TEST(JudgmentCacheTest, KindAndUniverseNamespacesAreDisjoint) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, /*universe=*/0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, /*universe=*/0, 1, 2, DecisiveEntry(0.02, 60, 0.4));
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kBinary).status,
             LookupStatus::kMiss);
@@ -130,8 +140,11 @@ TEST(JudgmentCacheTest, CapacityZeroStoresAndServesNothing) {
   CacheOptions options;
   options.capacity = 0;
   JudgmentCache cache(options);
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  CacheClient client(&cache, /*universe=*/0);
+  client.Record(1, 2, JudgmentKind::kPreference, DecisiveEntry(0.02, 60, 0.4));
+  // Nothing is staged, so a barrier has no cache insert to hash.
+  EXPECT_TRUE(client.TakeStaged().empty());
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.num_pairs(), 0);
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
@@ -142,15 +155,12 @@ TEST(JudgmentCacheTest, FullCacheDropsNewPairsDeterministically) {
   CacheOptions options;
   options.capacity = 1;
   JudgmentCache cache(options);
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
-  cache.Record(0, 0, 3, 4, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, 0, 3, 4, DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.num_pairs(), 1);
   EXPECT_EQ(cache.stats().dropped_capacity, 1);
   // Upgrading the resident pair still works at capacity.
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.01, 90, 0.4));
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.01, 90, 0.4));
   EXPECT_EQ(cache.stats().upgrades, 1);
 }
 
@@ -158,34 +168,34 @@ TEST(JudgmentCacheTest, FullCacheDropsNewPairsDeterministically) {
 // anything else keeps the incumbent, so commit order cannot matter.
 TEST(JudgmentCacheTest, BetterEntryReplacesWorse) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference, TieEntry(1000));
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, 0, 1, 2, TieEntry(1000));
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.stats().upgrades, 1);
   EXPECT_TRUE(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                   .entry.decisive);
   // A later, weaker verdict does not displace the stronger one.
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.05, 40, 0.4));
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.05, 40, 0.4));
   EXPECT_EQ(cache.stats().upgrades, 1);
   EXPECT_DOUBLE_EQ(
       cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference).entry.alpha,
       0.02);
 }
 
+// A client's inserts stay staged until the cache's owner commits them (the
+// serving layer does so at its quiescence barriers), and are handed over
+// once.
 TEST(JudgmentCacheTest, DeferredCommitAppliesOnlyAtBarrier) {
-  CacheOptions options;
-  options.deferred_commit = true;
-  JudgmentCache cache(options);
-  cache.Record(/*query_id=*/7, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  JudgmentCache cache(CacheOptions{});
+  CacheClient client(&cache, /*universe=*/0);
+  client.Record(1, 2, JudgmentKind::kPreference, DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
-  cache.CommitPending();
+  cache.Commit(client.TakeStaged());
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kHit);
+  EXPECT_TRUE(client.TakeStaged().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -196,10 +206,8 @@ TEST(TransitivityTest, ComposesSameDirectionChainsUnderUnionBound) {
   options.transitivity = true;
   JudgmentCache cache(options);
   // 1 beats 5 and 5 beats 2, both at alpha = 0.005.
-  cache.Record(0, 0, 1, 5, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
-  cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 1, 5, DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 5, 2, DecisiveEntry(0.005, 60, 0.4));
 
   // alpha = 0.02 >= 0.005 + 0.005: served.
   const LookupResult inferred =
@@ -220,10 +228,8 @@ TEST(TransitivityTest, RefusesWhenComposedAlphaExceedsRequest) {
   options.transitivity = true;
   JudgmentCache cache(options);
   // Both links at the requester's own alpha: 0.02 + 0.02 > 0.02.
-  cache.Record(0, 0, 1, 5, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
-  cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, 0, 1, 5, DecisiveEntry(0.02, 60, 0.4));
+  Put(&cache, 0, 5, 2, DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -234,10 +240,8 @@ TEST(TransitivityTest, RefusesMixedDirectionChains) {
   options.transitivity = true;
   JudgmentCache cache(options);
   // 1 beats 5 but 2 beats 5: the chain does not point through 5.
-  cache.Record(0, 0, 1, 5, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
-  cache.Record(0, 0, 2, 5, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 1, 5, DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 2, 5, DecisiveEntry(0.005, 60, 0.4));
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -245,10 +249,8 @@ TEST(TransitivityTest, RefusesMixedDirectionChains) {
 
 TEST(TransitivityTest, OffByDefault) {
   JudgmentCache cache(CacheOptions{});
-  cache.Record(0, 0, 1, 5, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
-  cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 1, 5, DecisiveEntry(0.005, 60, 0.4));
+  Put(&cache, 0, 5, 2, DecisiveEntry(0.005, 60, 0.4));
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -261,11 +263,12 @@ TEST(CacheClientTest, TranslatesLocalIdsAndPreservesOrientation) {
   JudgmentCache cache(CacheOptions{});
   // Query A runs over universe items {10, 20, 30} as locals {0, 1, 2} and
   // resolves local 0 > local 2 (universe 10 > 30).
-  CacheClient a(&cache, /*query_id=*/0, /*universe=*/0, {10, 20, 30});
+  CacheClient a(&cache, /*universe=*/0, {10, 20, 30});
   a.Record(0, 2, JudgmentKind::kPreference, DecisiveEntry(0.02, 60, 0.4));
+  cache.Commit(a.TakeStaged());
 
   // Query B sees the same universe items in a different local order.
-  CacheClient b(&cache, /*query_id=*/1, /*universe=*/0, {30, 10});
+  CacheClient b(&cache, /*universe=*/0, {30, 10});
   const LookupResult result =
       b.Lookup(/*i=*/0, /*j=*/1, 0.02, 1000, JudgmentKind::kPreference);
   ASSERT_EQ(result.status, LookupStatus::kHit);
@@ -353,7 +356,7 @@ TEST(ComparisonCacheSharedTest, SecondQueryHitsWithoutPurchases) {
   JudgmentCache shared(CacheOptions{});
 
   crowd::CrowdPlatform first_platform(dataset.get(), /*seed=*/11);
-  CacheClient first_client(&shared, /*query_id=*/0, /*universe=*/0);
+  CacheClient first_client(&shared, /*universe=*/0);
   first_platform.SetCacheClient(&first_client);
   ComparisonOutcome first_outcome;
   {
@@ -361,10 +364,11 @@ TEST(ComparisonCacheSharedTest, SecondQueryHitsWithoutPurchases) {
     first_outcome = cache.Compare(0, 1, &first_platform);
   }  // destructor publishes
   ASSERT_GT(first_platform.total_microtasks(), 0);
+  shared.Commit(first_client.TakeStaged());
   EXPECT_EQ(shared.num_pairs(), 1);
 
   crowd::CrowdPlatform second_platform(dataset.get(), /*seed=*/22);
-  CacheClient second_client(&shared, /*query_id=*/1, /*universe=*/0);
+  CacheClient second_client(&shared, /*universe=*/0);
   second_platform.SetCacheClient(&second_client);
   judgment::ComparisonCache cache(options, &second_platform);
   EXPECT_EQ(cache.Compare(0, 1, &second_platform), first_outcome);
@@ -533,17 +537,12 @@ TEST(JudgmentCacheTest, DropsAreCountedPerUniverse) {
   CacheOptions options;
   options.capacity = 2;
   JudgmentCache cache(options);
-  cache.Record(0, /*universe=*/0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
-  cache.Record(0, /*universe=*/7, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
+  Put(&cache, /*universe=*/0, 1, 2, DecisiveEntry(0.02, 50, 0.9));
+  Put(&cache, /*universe=*/7, 1, 2, DecisiveEntry(0.02, 50, 0.9));
   // Full: one refused insert for universe 7, two for universe 0.
-  cache.Record(0, 7, 3, 4, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
-  cache.Record(0, 0, 3, 4, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
-  cache.Record(0, 0, 5, 6, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
+  Put(&cache, 7, 3, 4, DecisiveEntry(0.02, 50, 0.9));
+  Put(&cache, 0, 3, 4, DecisiveEntry(0.02, 50, 0.9));
+  Put(&cache, 0, 5, 6, DecisiveEntry(0.02, 50, 0.9));
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.dropped_capacity, 3);
@@ -551,8 +550,7 @@ TEST(JudgmentCacheTest, DropsAreCountedPerUniverse) {
   EXPECT_EQ(stats.dropped_by_universe[0], (std::pair<int64_t, int64_t>(0, 2)));
   EXPECT_EQ(stats.dropped_by_universe[1], (std::pair<int64_t, int64_t>(7, 1)));
   // Upgrades of an existing pair are not drops.
-  cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.01, 80, 0.9));
+  Put(&cache, 0, 1, 2, DecisiveEntry(0.01, 80, 0.9));
   EXPECT_EQ(cache.stats().dropped_capacity, 3);
 }
 
@@ -561,10 +559,8 @@ TEST(JudgmentCacheTest, DropsAreCountedPerUniverse) {
 // `restored` (not `inserts`), and re-exports the identical image.
 TEST(JudgmentCacheTest, ExportRestoreRoundTrip) {
   JudgmentCache donor(CacheOptions{});
-  donor.Record(0, 0, 1, 2, JudgmentKind::kPreference,
-               DecisiveEntry(0.02, 50, 0.9));
-  donor.Record(0, 3, /*i=*/9, /*j=*/4, JudgmentKind::kPreference,
-               DecisiveEntry(0.05, 20, -0.4));
+  Put(&donor, 0, 1, 2, DecisiveEntry(0.02, 50, 0.9));
+  Put(&donor, 3, /*i=*/9, /*j=*/4, DecisiveEntry(0.05, 20, -0.4));
   const std::vector<ExportedEntry> image = donor.Export();
   ASSERT_EQ(image.size(), 2u);
   // Canonical order: (universe, pair) ascending, lo < hi.

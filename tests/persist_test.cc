@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/heap_sort.h"
@@ -306,6 +308,36 @@ TEST(SnapshotTest, CorruptSnapshotIsRejected) {
               util::StatusCode::kInvalidArgument)
         << count;
   }
+
+  // CRC- and digest-valid images holding an entry no cache could have
+  // written are refused: restoring one would crash the process.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, void (*)(cache::ExportedEntry*)>>
+      bad_entries = {
+          {"lo > hi", [](cache::ExportedEntry* e) { std::swap(e->lo, e->hi); }},
+          {"lo == hi", [](cache::ExportedEntry* e) { e->hi = e->lo; }},
+          {"lo < 0", [](cache::ExportedEntry* e) { e->lo = -1; }},
+          {"count 0",
+           [](cache::ExportedEntry* e) {
+             e->entry.decisive = false;
+             e->entry.count = 0;
+           }},
+          {"alpha 0", [](cache::ExportedEntry* e) { e->entry.alpha = 0.0; }},
+          {"alpha > 1", [](cache::ExportedEntry* e) { e->entry.alpha = 1.5; }},
+          {"alpha NaN", [](cache::ExportedEntry* e) { e->entry.alpha = nan; }},
+          {"mean inf", [](cache::ExportedEntry* e) { e->entry.mean = inf; }},
+          {"m2 NaN", [](cache::ExportedEntry* e) { e->entry.m2 = nan; }},
+          {"m2 < 0", [](cache::ExportedEntry* e) { e->entry.m2 = -1.0; }},
+      };
+  for (const auto& [name, corrupt] : bad_entries) {
+    SnapshotData data = SampleSnapshot();
+    corrupt(&data.cache_entries[0]);
+    ASSERT_TRUE(WriteSnapshot(path, data, nullptr).ok());
+    EXPECT_EQ(ReadSnapshot(path, &loaded).code(),
+              util::StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST(SnapshotTest, LoadLatestFallsBackOverCorruptNewest) {
@@ -546,7 +578,7 @@ ReplayResult RunReplay(const std::string& persist_dir, bool resume,
                        int64_t halt_after_barrier, int64_t jobs,
                        bool with_cache = false,
                        std::vector<cache::ExportedEntry> warm = {},
-                       int64_t snapshot_every = 4) {
+                       int64_t snapshot_every = 4, int64_t capacity = -1) {
   static const auto dataset = data::MakeUniformLadder(12, 1.0, 0.8);
   static judgment::ComparisonOptions comparison;
   static baselines::HeapSortTopK algorithm(comparison);
@@ -566,6 +598,7 @@ ReplayResult RunReplay(const std::string& persist_dir, bool resume,
   options.jobs = jobs;
   options.seed = 31;
   options.cache.enabled = with_cache;
+  options.cache.capacity = capacity;
   options.persist.dir = persist_dir;
   options.persist.resume = resume;
   options.persist.snapshot_every = snapshot_every;
@@ -657,6 +690,43 @@ TEST(PersistEndToEndTest, WalHoldsOnlyBarrierRecords) {
   for (int64_t b = 0; b <= last; ++b) {
     EXPECT_EQ(read->records[b].type, RecordType::kBarrier);
     EXPECT_EQ(read->records[b].barrier.barrier, b);
+  }
+}
+
+// A zero-capacity cache stages and stores nothing, so its barriers hash no
+// cache insert: halted after its last barrier with no snapshot taken, it
+// leaves the WAL of a run without a cache, record for record.
+TEST(PersistEndToEndTest, ZeroCapacityCacheWritesTheUncachedWal) {
+  const std::string probe = FreshDir("persist_capacity0_probe");
+  ASSERT_TRUE(RunReplay(probe, false, -1, 1).persist_status.ok());
+  SnapshotData final_snapshot;
+  ASSERT_TRUE(LoadLatestSnapshot(probe, &final_snapshot).ok());
+  const int64_t last = final_snapshot.barrier.barrier;
+  ASSERT_GT(last, 0);
+
+  std::vector<std::vector<std::string>> wals;
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache);
+    const std::string dir = FreshDir(std::string("persist_capacity0_") +
+                                     (with_cache ? "zero" : "off"));
+    const ReplayResult halted =
+        RunReplay(dir, false, /*halt_after_barrier=*/last, 1, with_cache, {},
+                  /*snapshot_every=*/0, /*capacity=*/0);
+    ASSERT_TRUE(halted.persist_status.ok());
+    // The zero-capacity clients were live: every lookup missed.
+    EXPECT_EQ(halted.cache_stats.lookups > 0, with_cache);
+    EXPECT_EQ(halted.cache_stats.misses, halted.cache_stats.lookups);
+    const auto read = ReadWal(dir, 0);
+    ASSERT_TRUE(read.ok());
+    wals.emplace_back();
+    for (const WalRecord& record : read->records) {
+      wals.back().push_back(EncodeBarrier(record.barrier));
+    }
+  }
+  ASSERT_EQ(static_cast<int64_t>(wals[0].size()), last + 1);
+  ASSERT_EQ(wals[1].size(), wals[0].size());
+  for (size_t b = 0; b < wals[0].size(); ++b) {
+    EXPECT_EQ(wals[1][b], wals[0][b]) << "barrier " << b;
   }
 }
 

@@ -206,19 +206,26 @@ TEST(SimHarnessTest, TransitiveCacheHitUnderFault) {
     requests[q].k = e.k;
     arrivals.push_back(static_cast<double>(q));
   }
-  serve::ServeOptions options;
-  options.seed = 42;
-  options.max_inflight = 1;  // serialize: every query sees all prior commits
-  options.cache.enabled = true;
-  options.cache.transitivity = true;
-  serve::QueryService service(options);
-  service.Replay(requests, arrivals);
-  const cache::CacheStats stats = service.cache_stats();
-  EXPECT_GT(stats.hits + stats.topups + stats.inferred, 0)
-      << "cache never reused anything — the scenario is vacuous";
-  EXPECT_GT(stats.inferred, 0)
-      << "no transitively inferred verdict served; the transitive path "
-         "was not exercised";
+  // Serialised (in-flight 1), every query sees all prior commits. At
+  // in-flight 4 with jobs 4, four drivers look up at once, so the TSAN
+  // build races the whole inferred path: both links read and composed.
+  for (const int64_t inflight : {int64_t{1}, int64_t{4}}) {
+    SCOPED_TRACE(inflight);
+    serve::ServeOptions options;
+    options.seed = 42;
+    options.max_inflight = inflight;
+    options.jobs = inflight;
+    options.cache.enabled = true;
+    options.cache.transitivity = true;
+    serve::QueryService service(options);
+    service.Replay(requests, arrivals);
+    const cache::CacheStats stats = service.cache_stats();
+    EXPECT_GT(stats.hits + stats.topups + stats.inferred, 0)
+        << "cache never reused anything — the scenario is vacuous";
+    EXPECT_GT(stats.inferred, 0)
+        << "no transitively inferred verdict served; the transitive path "
+           "was not exercised";
+  }
 }
 
 // Shard scatter + failover: the episode's trace routed over four local

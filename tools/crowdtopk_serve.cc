@@ -12,7 +12,8 @@
 //              uninterrupted run, and already-durable crowd work is
 //              accounted as replayed rather than re-purchased
 //   --warm     load the newest snapshot's judgment-cache image and serve
-//              the (new) trace warm — the cross-generation reuse path
+//              the (new) trace warm — the cross-generation reuse path;
+//              needs CROWDTOPK_CACHE=1
 //
 // Exit codes: 0 ok (including a degraded resume after WAL-tail damage,
 // which is reported, not fatal); 2 bad argument, knob out of range,
@@ -50,7 +51,8 @@ Modes
             as verified catch-up; requires the same knobs as the original
             run (jobs may differ)
   --warm    preload the judgment cache from the newest snapshot in
-            CROWDTOPK_PERSIST_DIR, then serve the trace as a fresh run
+            CROWDTOPK_PERSIST_DIR, then serve the trace as a fresh run;
+            requires CROWDTOPK_CACHE=1
 
 Workload knobs
   CROWDTOPK_SERVE_QUERIES   queries in the trace             (default 60)
@@ -191,6 +193,10 @@ int main(int argc, char** argv) {
                  "--%s requires CROWDTOPK_PERSIST_DIR (try --help)\n",
                  resume ? "resume" : "warm");
     return 2;
+  }
+  // Without a cache the image would be dropped and the run served cold.
+  if (warm && !options.cache.enabled) {
+    return BadKnob("--warm requires CROWDTOPK_CACHE=1");
   }
   persist::SnapshotData snapshot;
   if (warm) {
