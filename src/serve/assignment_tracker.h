@@ -1,18 +1,22 @@
 // AssignmentTracker: straggler-tolerant bookkeeping of outsourced microtasks.
 //
-// Every microtask a query purchases through the serving layer becomes one
-// *assignment* that must be worked off by the shared simulated crowd. Crowd
-// workers are slow and unreliable (Hui & Berberich, PAPERS.md: highly
-// variable completion times and abandonment), so an assignment handed to a
-// worker may expire — the worker abandons it or blows the round deadline —
-// in which case the tracker requeues it for the next round with a bumped
-// attempt counter. Retries are bounded: an assignment that expires
+// Every microtask a query purchases through the serving layer must be
+// worked off by the shared simulated crowd. The tracker stores them run-
+// length: one purchase of `count` tasks of one pair is one TaskRun, and a
+// wave hands out whole runs or splits one, so the bookkeeping costs per
+// purchase, not per task. Each task still has its own identity (the run's
+// first_task + offset) and its own simulated worker. Crowd workers are slow
+// and unreliable (Hui & Berberich, PAPERS.md: highly variable completion
+// times and abandonment), so a task handed to a worker may expire — the
+// worker abandons it or blows the round deadline — in which case the
+// tracker requeues it for the next round, as a run of one task with a
+// bumped attempt counter. Retries are bounded: a task that expires
 // `max_attempts` times is declared permanently failed, which the scheduler
 // surfaces to the owning query as util::Status (kResourceExhausted).
 //
-// The tracker keeps one FIFO of pending assignments per query and selects
-// each round's wave with a rotating round-robin over the queries, so no
-// query starves while another floods the platform. Selection is a pure
+// The tracker keeps one FIFO of pending runs per query and fills each
+// round's wave as a task-at-a-time round-robin over the queries would, so
+// no query starves while another floods the platform. Selection is a pure
 // function of the tracker state and the rotation index — no clocks, no
 // thread identity — which is what keeps the whole serving layer bit-
 // deterministic. Thread safety is the caller's job: the BatchScheduler only
@@ -30,18 +34,21 @@
 
 namespace crowdtopk::serve {
 
-// Identity and state of one outsourced microtask.
-struct Assignment {
+// Tasks first_task .. first_task + count - 1 of one purchase, all at the
+// same attempt.
+struct TaskRun {
   int64_t query_id = 0;
   int64_t seed_stream = 0;  // latency-stream key (defaults to query_id)
   int64_t request_seq = 0;  // per-query purchase sequence number
-  int64_t task_index = 0;   // unit index within that purchase
+  int64_t first_task = 0;   // unit index of the first task in that purchase
+  int64_t count = 1;        // tasks in the run (>= 1)
   crowd::ItemId item_i = 0;
   crowd::ItemId item_j = -1;  // -1 for graded single-item tasks
   int64_t attempt = 0;        // 0 on first dispatch, +1 per requeue
 };
 
-// Lifetime counters over all assignments the tracker has seen.
+// Lifetime counters over all microtasks the tracker has seen; every field
+// counts tasks, not runs.
 struct AssignmentStats {
   int64_t enqueued = 0;   // distinct microtasks registered
   int64_t scheduled = 0;  // dispatch attempts handed to the crowd
@@ -53,24 +60,23 @@ struct AssignmentStats {
 
 class AssignmentTracker {
  public:
-  // An assignment is dispatched at most `max_attempts` times (>= 1).
+  // A microtask is dispatched at most `max_attempts` times (>= 1).
   explicit AssignmentTracker(int64_t max_attempts);
 
-  // Registers a fresh microtask (attempt 0) at the back of its query's FIFO.
-  void Enqueue(const Assignment& assignment);
+  // Registers a fresh purchase (attempt 0) at the back of its query's FIFO.
+  void Enqueue(const TaskRun& run);
 
-  bool HasPending() const;
-  int64_t pending_count() const;
-
-  // Selects the next round's wave: at most `capacity` assignments in total
-  // and at most `per_pair_cap` for any one (query, pair) — the paper's
-  // per-pair batch bound eta (Section 5.5). Queries are served one
-  // assignment at a time in ascending-id order starting from `rotation`
-  // (pass the global round number), so saturating queries interleave
-  // fairly. Selected assignments leave the pending FIFOs; the caller must
-  // Resolve() each of them afterwards.
-  std::vector<Assignment> TakeWave(int64_t rotation, int64_t capacity,
-                                   int64_t per_pair_cap);
+  // Selects the next round's wave: at most `capacity` tasks in total and
+  // at most `per_pair_cap` for any one (query, pair) — the paper's
+  // per-pair batch bound eta (Section 5.5). Each query gets exactly the
+  // tasks a round-robin gives it that serves queries one task at a time in
+  // ascending-id order starting from `rotation` (pass the global round
+  // number), so saturating queries interleave fairly. That share is a
+  // prefix of the query's FIFO, returned as runs in FIFO order. Selected
+  // tasks leave the pending FIFOs; the caller must Resolve() each of them
+  // afterwards, in the wave's order.
+  std::vector<TaskRun> TakeWave(int64_t rotation, int64_t capacity,
+                                int64_t per_pair_cap);
 
   enum class Resolution {
     kCompleted,  // judgment arrived in time
@@ -78,17 +84,18 @@ class AssignmentTracker {
     kFailed,     // expired with retries exhausted; dropped for good
   };
 
-  // Reports the simulated outcome of one assignment taken by TakeWave.
-  Resolution Resolve(const Assignment& assignment, bool expired);
+  // Reports the simulated outcome of task `task` of a run taken by
+  // TakeWave (run.first_task <= task < run.first_task + run.count).
+  Resolution Resolve(const TaskRun& run, int64_t task, bool expired);
 
   const AssignmentStats& stats() const { return stats_; }
   int64_t max_attempts() const { return max_attempts_; }
 
  private:
   int64_t max_attempts_;
-  // query id -> FIFO of pending assignments. Ordered map: wave selection
-  // iterates queries in ascending id, independent of insertion order.
-  std::map<int64_t, std::deque<Assignment>> pending_;
+  // query id -> FIFO of pending runs. Ordered map: wave selection iterates
+  // queries in ascending id, independent of insertion order.
+  std::map<int64_t, std::deque<TaskRun>> pending_;
   AssignmentStats stats_;
 };
 

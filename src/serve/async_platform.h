@@ -57,8 +57,6 @@ class AsyncPlatform : public crowd::CrowdPlatform {
   // a query never finishes with work still queued at the crowd.
   void Drain();
 
-  int64_t query_id() const { return query_id_; }
-
  private:
   BatchScheduler* scheduler_;
   int64_t query_id_;

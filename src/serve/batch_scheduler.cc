@@ -117,17 +117,14 @@ void BatchScheduler::PostPurchase(int64_t query_id, crowd::ItemId i,
   std::lock_guard<std::mutex> lock(mutex_);
   QueryState& q = queries_.at(query_id);
   CROWDTOPK_CHECK(!q.finished);
-  const int64_t request_seq = q.next_request_seq++;
-  for (int64_t t = 0; t < count; ++t) {
-    Assignment assignment;
-    assignment.query_id = query_id;
-    assignment.seed_stream = q.seed_stream;
-    assignment.request_seq = request_seq;
-    assignment.task_index = t;
-    assignment.item_i = i;
-    assignment.item_j = j;
-    tracker_.Enqueue(assignment);
-  }
+  TaskRun run;
+  run.query_id = query_id;
+  run.seed_stream = q.seed_stream;
+  run.request_seq = q.next_request_seq++;
+  run.count = count;
+  run.item_i = i;
+  run.item_j = j;
+  tracker_.Enqueue(run);
   q.posted += count;
 }
 
@@ -159,16 +156,12 @@ void BatchScheduler::FinishQuery(int64_t query_id) {
 }
 
 BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
-    const Assignment& assignment) const {
-  // Pure function of (scheduler seed, assignment identity, attempt): the
-  // same microtask retried later, or simulated on a different thread,
-  // always draws the same worker. The stream key is the query's seed_stream
-  // (== query_id unless a router overrode it), so a re-dispatched query
-  // meets the same workers on its new shard.
-  uint64_t seed = util::SplitSeed(seed_, assignment.seed_stream);
-  seed = util::SplitSeed(seed, assignment.request_seq);
-  seed = util::SplitSeed(seed, assignment.task_index);
-  seed = util::SplitSeed(seed, assignment.attempt);
+    uint64_t purchase_seed, int64_t task, int64_t attempt) const {
+  // Pure function of (purchase seed, task index, attempt): the same
+  // microtask retried later, or simulated on a different thread, always
+  // draws the same worker.
+  uint64_t seed = util::SplitSeed(purchase_seed, task);
+  seed = util::SplitSeed(seed, attempt);
   util::Rng rng(seed);
 
   double pickup = 0.0;
@@ -200,22 +193,41 @@ void BatchScheduler::ExecuteRound() {
   std::lock_guard<std::mutex> lock(mutex_);
   CROWDTOPK_CHECK_EQ(running_, 0);
 
-  const std::vector<Assignment> wave = tracker_.TakeWave(
+  const std::vector<TaskRun> wave = tracker_.TakeWave(
       round_, options_.crowd_workers, options_.per_pair_batch);
+  // Task t of run r has outcome first[r] + t.
+  std::vector<size_t> first(wave.size() + 1, 0);
+  for (size_t r = 0; r < wave.size(); ++r) {
+    first[r + 1] = first[r] + static_cast<size_t>(wave[r].count);
+  }
+  // Fan the wave simulation out on the thread pool: each outcome is a pure
+  // function of its task's identity, so any worker count produces
+  // identical results.
+  std::vector<AttemptOutcome> outcomes(first.back());
+  exec::ParallelFor(
+      pool_, 0, static_cast<int64_t>(wave.size()), [&](int64_t r) {
+        const TaskRun& run = wave[r];
+        // The key is the query's seed_stream (== query_id unless a router
+        // overrode it), so a re-dispatched query meets the same workers on
+        // its new shard.
+        const uint64_t purchase_seed = util::SplitSeed(
+            util::SplitSeed(seed_, run.seed_stream), run.request_seq);
+        for (int64_t t = 0; t < run.count; ++t) {
+          outcomes[first[r] + t] =
+              SimulateAttempt(purchase_seed, run.first_task + t, run.attempt);
+        }
+      });
   double duration = 0.0;
-  if (!wave.empty()) {
-    // Fan the wave simulation out on the thread pool: outcome[i] is a pure
-    // function of wave[i], so any worker count produces identical results.
-    std::vector<AttemptOutcome> outcomes(wave.size());
-    exec::ParallelFor(pool_, 0, static_cast<int64_t>(wave.size()),
-                      [&](int64_t i) { outcomes[i] = SimulateAttempt(wave[i]); });
-    bool any_expired = false;
-    for (size_t i = 0; i < wave.size(); ++i) {
-      QueryState& q = queries_.at(wave[i].query_id);
-      switch (tracker_.Resolve(wave[i], outcomes[i].expired)) {
+  bool any_expired = false;
+  for (size_t r = 0; r < wave.size(); ++r) {
+    const TaskRun& run = wave[r];
+    QueryState& q = queries_.at(run.query_id);
+    for (int64_t t = 0; t < run.count; ++t) {
+      const AttemptOutcome& outcome = outcomes[first[r] + t];
+      switch (tracker_.Resolve(run, run.first_task + t, outcome.expired)) {
         case AssignmentTracker::Resolution::kCompleted:
           ++q.resolved;
-          duration = std::max(duration, outcomes[i].latency_seconds);
+          duration = std::max(duration, outcome.latency_seconds);
           break;
         case AssignmentTracker::Resolution::kRequeued:
           ++q.stats.expired_assignments;
@@ -232,18 +244,18 @@ void BatchScheduler::ExecuteRound() {
           any_expired = true;
           if (q.stats.status.ok()) {
             q.stats.status = util::Status::ResourceExhausted(
-                "assignment for pair (" + std::to_string(wave[i].item_i) +
-                ", " + std::to_string(wave[i].item_j) + ") of query " +
-                std::to_string(wave[i].query_id) + " expired " +
+                "assignment for pair (" + std::to_string(run.item_i) + ", " +
+                std::to_string(run.item_j) + ") of query " +
+                std::to_string(run.query_id) + " expired " +
                 std::to_string(tracker_.max_attempts()) + " times");
           }
           break;
       }
     }
-    // The round is a barrier: if anything expired, the platform waited out
-    // the full deadline before requeueing.
-    if (any_expired) duration = options_.deadline_seconds;
   }
+  // The round is a barrier: if anything expired, the platform waited out
+  // the full deadline before requeueing.
+  if (any_expired) duration = options_.deadline_seconds;
   ++round_;
   now_seconds_ += duration;
 

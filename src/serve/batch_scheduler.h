@@ -4,26 +4,28 @@
 // batch round, every undecided pair advances by up to eta microtasks in
 // parallel (Section 5.5). The serving layer generalises this to many
 // queries competing for one crowd of W worker slots per round. Query driver
-// threads post purchases (PostPurchase) and park at round boundaries
-// (Barrier); the scheduler — driven by the QueryService thread — waits until
-// every in-flight driver is parked or finished (quiescence), then executes
-// one *global* round: it draws a wave of at most W assignments from the
-// AssignmentTracker (eta per pair, round-robin across queries), simulates
-// each worker's pickup/work latency and abandonment, requeues expired
-// assignments, advances the simulated clock, and unparks the queries whose
-// barrier condition is met.
+// threads post purchases (PostPurchase: one run of `count` microtasks of
+// one pair) and park at round boundaries (Barrier); the scheduler — driven
+// by the QueryService thread — waits until every in-flight driver is parked
+// or finished (quiescence), then executes one *global* round: it draws a
+// wave of at most W microtasks, as runs, from the AssignmentTracker (eta
+// per pair, round-robin across queries), simulates each microtask's
+// pickup/work latency and abandonment, requeues expired ones, advances the
+// simulated clock, and unparks the queries whose barrier condition is met.
 //
 // Determinism contract (matches src/exec): the entire simulation is a pure
 // function of (options, seed, the queries' own purchase streams). Worker
 // latencies are derived per (query, request, task, attempt) via chained
-// util::SplitSeed — never from a shared draw-order-dependent stream — so
-// the per-round wave simulation can fan out on an exec::ThreadPool with any
-// number of threads and still produce bit-identical reports. The quiescence
-// barrier removes the remaining source of nondeterminism: global rounds
-// only close when no driver is mutating its query state, so the wave
-// content never depends on OS scheduling.
+// util::SplitSeed — never from a shared draw-order-dependent stream; a run
+// computes the chain's (query, request) prefix once for all its tasks — so
+// the per-round wave simulation can fan out over runs on an
+// exec::ThreadPool with any number of threads and still produce
+// bit-identical reports. The quiescence barrier removes the remaining
+// source of nondeterminism: global rounds only close when no driver is
+// mutating its query state, so the wave content never depends on OS
+// scheduling.
 //
-// An assignment that expires max_attempts times is dropped and the owning
+// A microtask that expires max_attempts times is dropped and the owning
 // query is marked failed (util::Status kResourceExhausted); the query still
 // runs to completion — its judgments were delivered at purchase time — but
 // the service reports the failure instead of the result.
@@ -135,7 +137,7 @@ class BatchScheduler {
   // ----- driver-thread interface (via AsyncPlatform) ------------------
 
   // Registers `count` purchased microtasks for pair (i, j) of `query_id`
-  // (j = -1 for graded tasks). Does not block.
+  // (j = -1 for graded tasks) as one run. Does not block.
   void PostPurchase(int64_t query_id, crowd::ItemId i, crowd::ItemId j,
                     int64_t count);
 
@@ -161,12 +163,15 @@ class BatchScheduler {
     QueryServeStats stats;
   };
 
-  // One simulated worker attempt; pure function of the assignment identity.
+  // One simulated worker attempt; pure function of the task identity.
   struct AttemptOutcome {
     bool expired = false;
     double latency_seconds = 0.0;
   };
-  AttemptOutcome SimulateAttempt(const Assignment& assignment) const;
+  // `purchase_seed` is the latency chain's prefix for one purchase,
+  // SplitSeed(SplitSeed(seed_, seed_stream), request_seq).
+  AttemptOutcome SimulateAttempt(uint64_t purchase_seed, int64_t task,
+                                 int64_t attempt) const;
 
   bool BarrierSatisfied(const QueryState& q) const {
     return q.resolved >= q.posted && round_ >= q.barrier_round;

@@ -1,11 +1,15 @@
 // Tests for the multi-query serving layer (src/serve): sync-algorithm
 // equivalence through the AsyncPlatform bridge, scheduler fairness under
-// saturation, straggler requeueing and bounded-retry failure, admission
-// overflow, bit-identity of the serve report across worker counts, and a
-// service replayed more than once.
+// saturation, straggler requeueing and bounded-retry failure, run-length
+// wave selection against a task-at-a-time reference, admission overflow,
+// bit-identity of the serve report across worker counts, and a service
+// replayed more than once.
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,12 +24,14 @@
 #include "judgment/comparison.h"
 #include "persist/format.h"
 #include "serve/arrival.h"
+#include "serve/assignment_tracker.h"
 #include "serve/async_platform.h"
 #include "serve/batch_scheduler.h"
 #include "serve/query_service.h"
 #include "serve/report.h"
 #include "util/env.h"
 #include "util/file_io.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace crowdtopk::serve {
@@ -287,6 +293,174 @@ TEST(SchedulerTest, AllNoShowCrowdFailsBoundedWithoutStalling) {
   EXPECT_GE(service.makespan_seconds(), 3 * options.schedule.deadline_seconds);
 }
 
+// ----- wave selection against a task-at-a-time reference --------------------
+
+// One microtask: (query, request_seq, task, item_i, item_j, attempt).
+using Task = std::array<int64_t, 6>;
+using TasksByQuery = std::map<int64_t, std::vector<Task>>;
+
+// The reference model: a tracker with one FIFO entry per microtask whose
+// wave serves the queries one task per pass in rotation order, skipping a
+// query whose head pair already has eta tasks in the wave.
+struct ReferenceTracker {
+  int64_t max_attempts = 1;
+  std::map<int64_t, std::deque<Task>> pending;
+  AssignmentStats stats;
+
+  void Enqueue(const TaskRun& run) {
+    for (int64_t t = 0; t < run.count; ++t) {
+      pending[run.query_id].push_back(
+          {run.query_id, run.request_seq, t, run.item_i, run.item_j, 0});
+    }
+    stats.enqueued += run.count;
+  }
+
+  std::vector<Task> TakeWave(int64_t rotation, int64_t capacity,
+                             int64_t per_pair_cap) {
+    std::vector<Task> wave;
+    std::vector<int64_t> queries;
+    for (const auto& [query, fifo] : pending) {
+      if (!fifo.empty()) queries.push_back(query);
+    }
+    if (queries.empty()) return wave;
+    std::map<std::array<int64_t, 3>, int64_t> taken;  // (query, i, j)
+    const size_t start = static_cast<size_t>(rotation) % queries.size();
+    const size_t cap = static_cast<size_t>(std::max<int64_t>(capacity, 0));
+    for (bool progress = true; progress && wave.size() < cap;) {
+      progress = false;
+      for (size_t s = 0; s < queries.size() && wave.size() < cap; ++s) {
+        std::deque<Task>& fifo = pending[queries[(start + s) % queries.size()]];
+        if (fifo.empty()) continue;
+        const Task& head = fifo.front();
+        int64_t& pair_count = taken[{head[0], head[3], head[4]}];
+        if (pair_count >= per_pair_cap) continue;
+        ++pair_count;
+        wave.push_back(head);
+        fifo.pop_front();
+        progress = true;
+      }
+    }
+    stats.scheduled += static_cast<int64_t>(wave.size());
+    return wave;
+  }
+
+  void Resolve(Task task, bool expired) {
+    if (!expired) {
+      ++stats.completed;
+      return;
+    }
+    ++stats.expired;
+    if (task[5] + 1 >= max_attempts) {
+      ++stats.failed;
+      return;
+    }
+    ++task[5];
+    pending[task[0]].push_front(task);
+    ++stats.requeued;
+  }
+};
+
+TasksByQuery ByQuery(const std::vector<Task>& tasks) {
+  TasksByQuery by_query;
+  for (const Task& t : tasks) by_query[t[0]].push_back(t);
+  return by_query;
+}
+
+std::vector<Task> Expand(const std::vector<TaskRun>& runs) {
+  std::vector<Task> tasks;
+  for (const TaskRun& r : runs) {
+    for (int64_t t = r.first_task; t < r.first_task + r.count; ++t) {
+      tasks.push_back({r.query_id, r.request_seq, t, r.item_i, r.item_j,
+                       r.attempt});
+    }
+  }
+  return tasks;
+}
+
+void ExpectSameStats(const AssignmentStats& a, const AssignmentStats& b) {
+  EXPECT_EQ(a.enqueued, b.enqueued);
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.expired, b.expired);
+  EXPECT_EQ(a.requeued, b.requeued);
+  EXPECT_EQ(a.failed, b.failed);
+}
+
+// The run-length tracker must hand every query exactly the tasks the
+// task-at-a-time round-robin hands it, in the same order, and leave the
+// same queues behind: random purchases over 7 queries (repeated and graded
+// pairs, runs longer than eta), random capacities, eta, attempts,
+// rotations and expiries.
+TEST(AssignmentTrackerTest, WavesMatchTaskAtATimeRoundRobin) {
+  constexpr int64_t kQueries = 7;
+  constexpr int64_t kUnlimited = int64_t{1} << 40;
+  util::Rng rng(20170514);
+  int64_t split_runs = 0;
+  AssignmentStats totals;
+  for (int64_t c = 0; c < 2000; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const uint64_t case_seed = rng.NextUint64();
+    const int64_t max_attempts = rng.UniformInt(1, 4);
+    const int64_t eta = rng.UniformInt(1, 40);
+    const int64_t expire_permille = rng.UniformInt(0, 600);
+    // Expiry is a pure function of the task, as in the scheduler.
+    const auto expires = [&](const Task& task) {
+      uint64_t h = case_seed;
+      for (const int64_t field : task) {
+        h = util::SplitSeed(h, static_cast<uint64_t>(field));
+      }
+      return static_cast<int64_t>(h % 1000) < expire_permille;
+    };
+    AssignmentTracker tracker(max_attempts);
+    ReferenceTracker reference;
+    reference.max_attempts = max_attempts;
+    std::vector<int64_t> next_request(kQueries, 0);
+    for (int64_t waves = rng.UniformInt(1, 30); waves > 0; --waves) {
+      for (int64_t p = rng.UniformInt(0, 4); p > 0; --p) {
+        TaskRun run;
+        run.query_id = rng.UniformInt(kQueries);
+        run.seed_stream = run.query_id;
+        run.request_seq = next_request[run.query_id]++;
+        run.count = rng.UniformInt(1, 60);
+        run.item_i = rng.UniformInt(4);
+        run.item_j = rng.Bernoulli(0.2) ? -1 : rng.UniformInt(4);
+        tracker.Enqueue(run);
+        reference.Enqueue(run);
+      }
+      const int64_t rotation = rng.UniformInt(0, 1000);
+      const int64_t capacity = rng.UniformInt(0, 250);
+      const std::vector<TaskRun> runs =
+          tracker.TakeWave(rotation, capacity, eta);
+      const std::vector<Task> expected =
+          reference.TakeWave(rotation, capacity, eta);
+      ASSERT_EQ(ByQuery(Expand(runs)), ByQuery(expected));
+      for (const TaskRun& run : runs) {
+        split_runs += run.first_task > 0 && run.attempt == 0;
+        for (int64_t t = run.first_task; t < run.first_task + run.count; ++t) {
+          tracker.Resolve(run, t,
+                          expires({run.query_id, run.request_seq, t,
+                                   run.item_i, run.item_j, run.attempt}));
+        }
+      }
+      for (const Task& task : expected) reference.Resolve(task, expires(task));
+      ExpectSameStats(tracker.stats(), reference.stats);
+      // Compare the queues left behind by draining copies of both.
+      AssignmentTracker rest = tracker;
+      ReferenceTracker reference_rest = reference;
+      ASSERT_EQ(ByQuery(Expand(rest.TakeWave(0, kUnlimited, kUnlimited))),
+                ByQuery(reference_rest.TakeWave(0, kUnlimited, kUnlimited)));
+    }
+    totals.scheduled += tracker.stats().scheduled;
+    totals.requeued += tracker.stats().requeued;
+    totals.failed += tracker.stats().failed;
+  }
+  // The cases reached every path: partial runs, retries and failures.
+  EXPECT_GT(split_runs, 0);
+  EXPECT_GT(totals.requeued, 0);
+  EXPECT_GT(totals.failed, 0);
+  EXPECT_GT(totals.scheduled, 100000);
+}
+
 // A bounded admission queue rejects arrivals that find both the in-flight
 // window and the queue full.
 TEST(QueryServiceTest, AdmissionQueueOverflowRejects) {
@@ -460,6 +634,25 @@ TEST(QueryServiceTest, SecondReplayMatchesFreshServiceHoldingTheSameCache) {
   }
 }
 
+// Byte-compares `rendered` with tests/golden/`name`, or rewrites the golden
+// when CROWDTOPK_UPDATE_GOLDEN=1.
+void ExpectMatchesGolden(const std::string& rendered,
+                         const std::string& name) {
+  const std::string golden_path =
+      std::string(CROWDTOPK_GOLDEN_DIR) + "/" + name;
+  if (util::GetEnvBool("CROWDTOPK_UPDATE_GOLDEN", false)) {
+    ASSERT_TRUE(util::WriteFileAtomic(golden_path, rendered).ok());
+    GTEST_SKIP() << "golden updated: " << golden_path;
+  }
+  std::string golden;
+  ASSERT_TRUE(util::ReadFileToString(golden_path, &golden).ok())
+      << "missing " << golden_path
+      << " — run once with CROWDTOPK_UPDATE_GOLDEN=1";
+  EXPECT_EQ(rendered, golden)
+      << "ServeReport JSONL drifted from " << name << "; if intentional, "
+         "regenerate the golden with CROWDTOPK_UPDATE_GOLDEN=1 and commit it";
+}
+
 // Pins the machine-readable report schema to a golden file. The JSONL
 // output is what the crash-recovery CI job byte-diffs and what external
 // dashboards parse, so schema drift must be a deliberate, reviewed act:
@@ -492,20 +685,66 @@ TEST(ReportTest, JsonlMatchesGoldenFile) {
       BuildServeReport(outcomes, service.assignment_stats(),
                        service.makespan_seconds(), service.total_rounds()),
       outcomes);
+  ExpectMatchesGolden(rendered, "serve_report.jsonl");
+}
 
-  const std::string golden_path =
-      std::string(CROWDTOPK_GOLDEN_DIR) + "/serve_report.jsonl";
-  if (util::GetEnvBool("CROWDTOPK_UPDATE_GOLDEN", false)) {
-    ASSERT_TRUE(util::WriteFileAtomic(golden_path, rendered).ok());
-    GTEST_SKIP() << "golden updated: " << golden_path;
+// A straggler-heavy replay pinned to its own golden: eta 7 splits the
+// baselines' purchases across waves, W 37 leaves partial waves, and at
+// abandon 0.15 with 3 attempts half the queries FAIL. Every wave
+// selection and requeue order shows in the bytes, the jobs-4 wave
+// simulation must render the same ones, and each FAILED query's status
+// must name the same first failed pair.
+TEST(ReportTest, StragglerJsonlMatchesGoldenFile) {
+  const auto dataset = data::MakeUniformLadder(12, 1.0, 0.8);
+  judgment::ComparisonOptions comparison;
+  baselines::HeapSortTopK heap(comparison);
+  baselines::QuickSelectTopK quick(comparison);
+  core::TopKAlgorithm* algorithms[] = {&heap, &quick};
+
+  const std::vector<double> arrivals = PoissonArrivals(8, 0.01, 2017);
+  std::vector<QueryRequest> requests(8);
+  for (int64_t q = 0; q < 8; ++q) {
+    requests[q].algorithm = algorithms[q % 2];
+    requests[q].dataset = dataset.get();
+    requests[q].k = 3;
   }
-  std::string golden;
-  ASSERT_TRUE(util::ReadFileToString(golden_path, &golden).ok())
-      << "missing " << golden_path
-      << " — run once with CROWDTOPK_UPDATE_GOLDEN=1";
-  EXPECT_EQ(rendered, golden)
-      << "ServeReport JSONL schema drifted; if intentional, regenerate the "
-         "golden with CROWDTOPK_UPDATE_GOLDEN=1 and commit it";
+
+  auto render = [&](int64_t jobs, std::vector<std::string>* statuses) {
+    ServeOptions options;
+    options.schedule.crowd_workers = 37;
+    options.schedule.per_pair_batch = 7;
+    options.schedule.abandon_probability = 0.15;
+    options.schedule.max_attempts = 3;
+    options.max_inflight = 4;
+    options.jobs = jobs;
+    options.seed = 2017;
+    QueryService service(options);
+    const std::vector<QueryOutcome> outcomes =
+        service.Replay(requests, arrivals);
+    if (statuses != nullptr) {
+      for (const QueryOutcome& o : outcomes) {
+        statuses->push_back(o.status.ToString());
+      }
+    }
+    return RenderServeReportJsonl(
+        BuildServeReport(outcomes, service.assignment_stats(),
+                         service.makespan_seconds(), service.total_rounds()),
+        outcomes);
+  };
+  std::vector<std::string> statuses;
+  const std::string rendered = render(1, &statuses);
+  EXPECT_EQ(render(4, nullptr), rendered);
+  // The report prints only FAILED; the status names the first pair whose
+  // microtask ran out of attempts, in the query's own FIFO order.
+  const auto failed = [](int64_t query, const std::string& pair) {
+    return "RESOURCE_EXHAUSTED: assignment for pair " + pair + " of query " +
+           std::to_string(query) + " expired 3 times";
+  };
+  const std::vector<std::string> expected = {
+      failed(0, "(3, 4)"), failed(1, "(4, 10)"), "OK", failed(3, "(0, 9)"),
+      failed(4, "(5, 8)"), "OK", "OK", "OK"};
+  EXPECT_EQ(statuses, expected);
+  ExpectMatchesGolden(rendered, "serve_report_stragglers.jsonl");
 }
 
 // ----- golden JSONL round trip ---------------------------------------------

@@ -13,9 +13,12 @@
 //
 // Exit codes: 0 all invariants hold, 1 violations found, 2 usage error.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,21 +38,49 @@ Deterministic simulation harness: seeded chaos episodes over the full
 serving stack with cross-layer invariant checking, seed shrinking, and
 replay (docs/SIMULATION.md).
 
-  --seeds N          sweep N episodes (episode i = DeriveEpisode(
+  --seeds N          sweep N >= 1 episodes (episode i = DeriveEpisode(
                      SplitSeed(master, i)))               (default 16)
   --master S         master seed of the sweep     (default 20170514)
   --seed X           run the single episode derived from seed X
+                     (N, S and X are unsigned decimal integers)
   --episode SPEC     replay a key=value episode spec verbatim (the
                      format failure reports print)
   --mutate NAME      inject a deliberate determinism bug into every
                      episode: seed-drift | cache-leak | wire-flip —
                      the harness MUST catch it (acceptance test)
   --no-shrink        print the raw failing episode without minimising
-  --scratch DIR      scratch directory for persist chaos
-                     (default $TMPDIR/crowdtopk_sim or /tmp/crowdtopk_sim)
+  --scratch DIR      scratch directory for persist chaos, kept after
+                     the run (default: a fresh private directory
+                     $TMPDIR/crowdtopk_sim.XXXXXX, or under /tmp,
+                     removed when the run ends)
 
 Exit codes: 0 clean, 1 invariant violation, 2 usage error.
 )";
+
+constexpr uint64_t kMaxUnsigned = std::numeric_limits<uint64_t>::max();
+
+// Parses all of `text` as a decimal unsigned integer: no sign, no spaces,
+// no trailing characters, no overflow.
+bool ParseUnsigned(const char* text, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text, &end, 10);
+  return *end == '\0' && errno != ERANGE;
+}
+
+// Removes the private default scratch directory when the run ends.
+struct ScratchCleanup {
+  std::string dir;  // empty: --scratch named a directory the caller keeps
+
+  ScratchCleanup() = default;
+  ScratchCleanup(const ScratchCleanup&) = delete;
+  ScratchCleanup& operator=(const ScratchCleanup&) = delete;
+  ~ScratchCleanup() {
+    std::error_code ignored;
+    if (!dir.empty()) std::filesystem::remove_all(dir, ignored);
+  }
+};
 
 void ApplyMutation(sim::Episode* episode, const std::string& mutation) {
   episode->mutation = mutation;
@@ -99,10 +130,7 @@ int main(int argc, char** argv) {
   std::string episode_spec;
   std::string mutation;
   bool shrink = true;
-  const char* tmpdir = std::getenv("TMPDIR");
-  std::string scratch =
-      std::string(tmpdir != nullptr && tmpdir[0] != '\0' ? tmpdir : "/tmp") +
-      "/crowdtopk_sim";
+  std::string scratch;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -113,16 +141,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_number = [&](const char* flag, uint64_t min, uint64_t max,
+                           const char* what) {
+      const char* text = next(flag);
+      uint64_t value = 0;
+      if (!ParseUnsigned(text, &value) || value < min || value > max) {
+        std::fprintf(stderr, "%s must be %s, got '%s' (try --help)\n", flag,
+                     what, text);
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--help" || arg == "-h") {
       std::printf("%s", kHelp);
       return 0;
     } else if (arg == "--seeds") {
-      seeds = std::strtoll(next("--seeds"), nullptr, 10);
+      seeds = static_cast<int64_t>(
+          next_number("--seeds", 1, std::numeric_limits<int64_t>::max(),
+                      "an integer >= 1"));
     } else if (arg == "--master") {
-      master = std::strtoull(next("--master"), nullptr, 10);
+      master = next_number("--master", 0, kMaxUnsigned, "an unsigned integer");
     } else if (arg == "--seed") {
       have_single_seed = true;
-      single_seed = std::strtoull(next("--seed"), nullptr, 10);
+      single_seed =
+          next_number("--seed", 0, kMaxUnsigned, "an unsigned integer");
     } else if (arg == "--episode") {
       episode_spec = next("--episode");
     } else if (arg == "--mutate") {
@@ -142,7 +184,21 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!util::EnsureDirectory(scratch).ok()) {
+  // By default every run gets its own directory, so concurrent runs never
+  // empty each other's episode directories.
+  ScratchCleanup cleanup;
+  if (scratch.empty()) {
+    const char* tmpdir = std::getenv("TMPDIR");
+    std::string private_dir =
+        std::string(tmpdir != nullptr && tmpdir[0] != '\0' ? tmpdir : "/tmp") +
+        "/crowdtopk_sim.XXXXXX";
+    if (mkdtemp(private_dir.data()) == nullptr) {
+      std::fprintf(stderr, "cannot create scratch directory %s: %s\n",
+                   private_dir.c_str(), std::strerror(errno));
+      return 2;
+    }
+    scratch = cleanup.dir = private_dir;
+  } else if (!util::EnsureDirectory(scratch).ok()) {
     std::fprintf(stderr, "cannot create scratch directory %s\n",
                  scratch.c_str());
     return 2;
