@@ -32,9 +32,10 @@
 // (QueryService::SealBarrier commits every live client's staged inserts in
 // query-id order) or between Replay calls (QueryService::RestoreCache).
 // Lookups may run concurrently with each other, never with a write, so the
-// map takes no lock: the scheduler mutex that parks and unparks drivers,
-// together with thread start, orders each barrier's commits before the next
-// lookups. Every driver therefore observes a cache that is a pure function
+// map takes no lock: a driver resumes only through its scheduler record's
+// wake semaphore or its thread start, both of which the service thread
+// releases after the barrier's commits, so they precede the next lookups.
+// Every driver therefore observes a cache that is a pure function
 // of (options, seed, trace), and the replay stays byte-identical for any
 // CROWDTOPK_JOBS value. Two queries that race on the same cold pair within
 // one global round both buy it (the price of determinism); the merge rule

@@ -61,6 +61,10 @@ util::Status Client::Dial() {
         "client port must be the server's bound port (servers bind "
         "ephemeral ports by default and print the assigned one)");
   }
+  if (options_.port > 65535) {
+    return util::Status::InvalidArgument(
+        "client port must be <= 65535, got " + std::to_string(options_.port));
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return util::Status::Internal(std::string("socket: ") +

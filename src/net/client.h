@@ -33,7 +33,8 @@ struct ClientOptions {
   std::string host = "127.0.0.1";
   // Must be set to the server's bound port (Server::port(), or the
   // "listening on 127.0.0.1:<port>" line the CLI prints — servers bind
-  // ephemeral ports by default). Connect refuses port <= 0.
+  // ephemeral ports by default). Connect refuses a port outside
+  // [1, 65535].
   int64_t port = 0;
   int64_t connect_timeout_ms = 5000;
   // Per-reply wait for request/reply calls (Submit, QueryStatus, Cancel,

@@ -80,6 +80,10 @@ class Server::Impl {
       return util::Status::InvalidArgument(
           "ServerOptions::engine_factory is required");
     }
+    if (options_.port < 0 || options_.port > 65535) {
+      return util::Status::InvalidArgument(
+          "port must be in [0, 65535], got " + std::to_string(options_.port));
+    }
     CROWDTOPK_RETURN_IF_ERROR(
         serve::CheckScheduleOptions(options_.schedule, options_.max_inflight));
     if (::pipe(wake_pipe_) != 0) {

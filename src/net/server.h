@@ -75,7 +75,8 @@ struct ServerOptions {
   // TCP port on 127.0.0.1; 0 (the default) binds a kernel-assigned
   // ephemeral port — read it back with port() (the CLI prints it, the
   // smoke script parses it), so concurrent servers never race on a fixed
-  // port. Set a positive port only for a long-lived deployment.
+  // port. Set a positive port only for a long-lived deployment. Start
+  // refuses a port outside [0, 65535].
   int64_t port = 0;
   int64_t max_connections = 64;
   // Connections with no traffic and no in-flight queries for this long
@@ -124,8 +125,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Binds 127.0.0.1:port, starts listening, and builds the engine.
-  // InvalidArgument when options.engine_factory is null or the schedule
-  // or max_inflight is out of range (serve::CheckScheduleOptions).
+  // InvalidArgument when options.engine_factory is null, the port is out
+  // of range, or the schedule or max_inflight is out of range
+  // (serve::CheckScheduleOptions).
   util::Status Start();
 
   // Port actually bound (meaningful after Start; equals options.port

@@ -19,8 +19,8 @@
 // no query starves while another floods the platform. Selection is a pure
 // function of the tracker state and the rotation index — no clocks, no
 // thread identity — which is what keeps the whole serving layer bit-
-// deterministic. Thread safety is the caller's job: the BatchScheduler only
-// touches the tracker under its own mutex.
+// deterministic. The tracker is not thread-safe: only the service thread
+// touches it, inside the BatchScheduler, while no query driver runs.
 
 #ifndef CROWDTOPK_SERVE_ASSIGNMENT_TRACKER_H_
 #define CROWDTOPK_SERVE_ASSIGNMENT_TRACKER_H_

@@ -6,17 +6,17 @@
 // and cost/round accounting are delegated to the base class — so a query
 // served through this adapter buys the exact judgment stream, TMC, and
 // private round count it would buy on a private platform with the same
-// seed — while every purchase is additionally registered with the shared
-// scheduler and every round boundary parks the driver thread until the
-// crowd has actually worked the query's microtasks off. The base class's
+// seed — while every purchase is additionally staged in the query's
+// scheduler record and every round boundary parks the driver thread until
+// the crowd has actually worked the query's microtasks off. The base class's
 // rounds() counter therefore reads as the query's *private* latency (what
 // it would cost alone, the paper's Section 5.5 metric) and the scheduler's
 // global round span as its *observed* latency including cross-query
 // contention, stragglers, and requeues.
 //
-// One AsyncPlatform is owned by exactly one driver thread; it is as
-// thread-compatible as the base class (not thread-safe) and relies on the
-// scheduler for all cross-thread coordination.
+// One AsyncPlatform and the BatchScheduler::Query record it holds belong to
+// exactly one driver thread; the platform is as thread-compatible as the
+// base class (not thread-safe).
 
 #ifndef CROWDTOPK_SERVE_ASYNC_PLATFORM_H_
 #define CROWDTOPK_SERVE_ASYNC_PLATFORM_H_
@@ -32,10 +32,10 @@ namespace crowdtopk::serve {
 
 class AsyncPlatform : public crowd::CrowdPlatform {
  public:
-  // `oracle` and `scheduler` must outlive the platform; `query_id` must
-  // already be admitted to the scheduler.
+  // `oracle` and the scheduler that admitted `query` must outlive the
+  // platform.
   AsyncPlatform(const crowd::JudgmentOracle* oracle, uint64_t seed,
-                BatchScheduler* scheduler, int64_t query_id);
+                BatchScheduler::Query* query);
 
   void CollectPreferences(crowd::ItemId i, crowd::ItemId j, int64_t count,
                           std::vector<double>* out) override;
@@ -58,8 +58,7 @@ class AsyncPlatform : public crowd::CrowdPlatform {
   void Drain();
 
  private:
-  BatchScheduler* scheduler_;
-  int64_t query_id_;
+  BatchScheduler::Query* query_;
 };
 
 }  // namespace crowdtopk::serve

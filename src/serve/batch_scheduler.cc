@@ -21,18 +21,22 @@ constexpr uint64_t kLatencyStream = 0x6c61746e63790001ULL;
 util::Status CheckScheduleOptions(const ScheduleOptions& options,
                                   int64_t max_inflight) {
   const ScheduleOptions& o = options;
-  // Each condition is written so that a NaN fails it.
+  // Each condition is written so that a NaN fails it; times must be finite.
   const std::pair<bool, const char*> checks[] = {
       {o.crowd_workers >= 1, "crowd_workers must be >= 1"},
       {o.per_pair_batch >= 1, "per_pair_batch must be >= 1"},
-      {o.mean_pickup_seconds >= 0.0, "mean_pickup_seconds must be >= 0"},
-      {o.mean_task_seconds > 0.0, "mean_task_seconds must be > 0"},
-      {o.task_time_sigma >= 0.0, "task_time_sigma must be >= 0"},
+      {std::isfinite(o.mean_pickup_seconds) && o.mean_pickup_seconds >= 0.0,
+       "mean_pickup_seconds must be finite and >= 0"},
+      {std::isfinite(o.mean_task_seconds) && o.mean_task_seconds > 0.0,
+       "mean_task_seconds must be finite and > 0"},
+      {std::isfinite(o.task_time_sigma) && o.task_time_sigma >= 0.0,
+       "task_time_sigma must be finite and >= 0"},
       {o.abandon_probability >= 0.0 && o.abandon_probability <= 1.0,
        "abandon_probability must be in [0, 1]"},
       {o.no_show_probability >= 0.0 && o.no_show_probability <= 1.0,
        "no_show_probability must be in [0, 1]"},
-      {o.deadline_seconds > 0.0, "deadline_seconds must be > 0"},
+      {std::isfinite(o.deadline_seconds) && o.deadline_seconds > 0.0,
+       "deadline_seconds must be finite and > 0"},
       {o.max_attempts >= 1, "max_attempts must be >= 1"},
       {max_inflight >= 1, "max_inflight must be >= 1"},
   };
@@ -54,105 +58,76 @@ BatchScheduler::BatchScheduler(const ScheduleOptions& options, uint64_t seed,
                   0.5 * options.task_time_sigma * options.task_time_sigma;
 }
 
-void BatchScheduler::AdmitQuery(int64_t query_id, int64_t seed_stream) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CROWDTOPK_CHECK(queries_.find(query_id) == queries_.end());
-  QueryState& q = queries_[query_id];
-  q.seed_stream = seed_stream >= 0 ? seed_stream : query_id;
-  q.barrier_round = round_;
-  q.stats.admitted_round = round_;
-  q.stats.admitted_seconds = now_seconds_;
+BatchScheduler::Query* BatchScheduler::AdmitQuery(int64_t query_id,
+                                                  int64_t seed_stream) {
+  auto [it, inserted] = queries_.try_emplace(query_id);
+  CROWDTOPK_CHECK(inserted);
+  it->second.reset(
+      new Query(this, query_id, seed_stream >= 0 ? seed_stream : query_id));
+  Query& q = *it->second;
+  q.barrier_round_ = round_;
+  q.stats_.admitted_round = round_;
+  q.stats_.admitted_seconds = now_seconds_;
   ++running_;
+  return &q;
 }
 
-void BatchScheduler::WaitQuiescent() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  quiescent_.wait(lock, [this] { return running_ == 0; });
-}
-
-bool BatchScheduler::AnyParked() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [id, q] : queries_) {
-    if (q.parked && !q.finished) return true;
+std::vector<int64_t> BatchScheduler::WaitQuiescent() {
+  for (int64_t n = running_; n != 0; n = running_) running_.wait(n);
+  // Every record is the service thread's now. Staged runs are a query's
+  // purchases in order and the tracker keeps one FIFO per query, so this
+  // commit leaves the tracker as enqueueing each at purchase time would.
+  std::vector<int64_t> finished;
+  for (auto& [id, q] : queries_) {
+    if (q->retired_) continue;
+    // Release the buffer: a cleared one would keep its peak capacity.
+    for (const TaskRun& run : std::exchange(q->staged_, {})) {
+      tracker_.Enqueue(run);
+    }
+    if (!q->finished_) continue;
+    q->retired_ = true;
+    q->stats_.finished_round = round_;
+    q->stats_.finished_seconds = now_seconds_;
+    finished.push_back(id);
   }
-  return false;
+  return finished;
 }
 
 void BatchScheduler::AdvanceTimeTo(double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
   CROWDTOPK_CHECK_EQ(running_, 0);
   now_seconds_ = std::max(now_seconds_, seconds);
 }
 
-std::vector<int64_t> BatchScheduler::DrainFinished() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int64_t> finished;
-  finished.swap(newly_finished_);
-  return finished;
-}
-
-double BatchScheduler::now_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return now_seconds_;
-}
-
-int64_t BatchScheduler::round() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return round_;
-}
-
-QueryServeStats BatchScheduler::QueryStats(int64_t query_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queries_.at(query_id).stats;
-}
-
-AssignmentStats BatchScheduler::assignment_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tracker_.stats();
-}
-
-void BatchScheduler::PostPurchase(int64_t query_id, crowd::ItemId i,
-                                  crowd::ItemId j, int64_t count) {
+void BatchScheduler::Query::PostPurchase(crowd::ItemId i, crowd::ItemId j,
+                                         int64_t count) {
   if (count <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  QueryState& q = queries_.at(query_id);
-  CROWDTOPK_CHECK(!q.finished);
+  CROWDTOPK_CHECK(!finished_);
   TaskRun run;
-  run.query_id = query_id;
-  run.seed_stream = q.seed_stream;
-  run.request_seq = q.next_request_seq++;
+  run.query_id = id_;
+  run.seed_stream = seed_stream_;
+  run.request_seq = next_request_seq_++;
   run.count = count;
   run.item_i = i;
   run.item_j = j;
-  tracker_.Enqueue(run);
-  q.posted += count;
+  staged_.push_back(run);
+  posted_ += count;
 }
 
-void BatchScheduler::Barrier(int64_t query_id, int64_t rounds) {
+void BatchScheduler::Query::Barrier(int64_t rounds) {
   CROWDTOPK_CHECK_GE(rounds, 0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  QueryState& q = queries_.at(query_id);
-  q.barrier_round = round_ + rounds;
-  if (BarrierSatisfied(q)) return;
-  q.parked = true;
-  --running_;
-  quiescent_.notify_all();
-  unparked_.wait(lock, [&q] { return !q.parked; });
+  barrier_round_ = scheduler_->round_ + rounds;
+  if (BarrierMet()) return;
+  scheduler_->DriverStopped();
+  wake_.acquire();
 }
 
-void BatchScheduler::FinishQuery(int64_t query_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  QueryState& q = queries_.at(query_id);
-  CROWDTOPK_CHECK(!q.finished);
+void BatchScheduler::Query::Finish() {
+  CROWDTOPK_CHECK(!finished_);
   // Drivers drain before finishing (AsyncPlatform::Drain), so no pending
   // work of this query can be left behind to stall the tracker.
-  CROWDTOPK_CHECK_GE(q.resolved, q.posted);
-  q.finished = true;
-  q.stats.finished_round = round_;
-  q.stats.finished_seconds = now_seconds_;
-  newly_finished_.push_back(query_id);
-  --running_;
-  quiescent_.notify_all();
+  CROWDTOPK_CHECK_GE(resolved_, posted_);
+  finished_ = true;
+  scheduler_->DriverStopped();
 }
 
 BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
@@ -190,7 +165,6 @@ BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
 }
 
 void BatchScheduler::ExecuteRound() {
-  std::lock_guard<std::mutex> lock(mutex_);
   CROWDTOPK_CHECK_EQ(running_, 0);
 
   const std::vector<TaskRun> wave = tracker_.TakeWave(
@@ -221,29 +195,29 @@ void BatchScheduler::ExecuteRound() {
   bool any_expired = false;
   for (size_t r = 0; r < wave.size(); ++r) {
     const TaskRun& run = wave[r];
-    QueryState& q = queries_.at(run.query_id);
+    Query& q = *queries_.at(run.query_id);
     for (int64_t t = 0; t < run.count; ++t) {
       const AttemptOutcome& outcome = outcomes[first[r] + t];
       switch (tracker_.Resolve(run, run.first_task + t, outcome.expired)) {
         case AssignmentTracker::Resolution::kCompleted:
-          ++q.resolved;
+          ++q.resolved_;
           duration = std::max(duration, outcome.latency_seconds);
           break;
         case AssignmentTracker::Resolution::kRequeued:
-          ++q.stats.expired_assignments;
-          ++q.stats.requeued_assignments;
+          ++q.stats_.expired_assignments;
+          ++q.stats_.requeued_assignments;
           any_expired = true;
           break;
         case AssignmentTracker::Resolution::kFailed:
           // Give up on the microtask so the barrier can release; the query
           // is marked failed and the service reports the status instead of
           // the (already computed) answer.
-          ++q.resolved;
-          ++q.stats.expired_assignments;
-          ++q.stats.failed_assignments;
+          ++q.resolved_;
+          ++q.stats_.expired_assignments;
+          ++q.stats_.failed_assignments;
           any_expired = true;
-          if (q.stats.status.ok()) {
-            q.stats.status = util::Status::ResourceExhausted(
+          if (q.stats_.status.ok()) {
+            q.stats_.status = util::Status::ResourceExhausted(
                 "assignment for pair (" + std::to_string(run.item_i) + ", " +
                 std::to_string(run.item_j) + ") of query " +
                 std::to_string(run.query_id) + " expired " +
@@ -259,13 +233,13 @@ void BatchScheduler::ExecuteRound() {
   ++round_;
   now_seconds_ += duration;
 
+  // Every unfinished query is parked here. Count a driver as running
+  // before waking it, so WaitQuiescent cannot miss it.
   for (auto& [id, q] : queries_) {
-    if (q.parked && BarrierSatisfied(q)) {
-      q.parked = false;
-      ++running_;
-    }
+    if (q->finished_ || !q->BarrierMet()) continue;
+    ++running_;
+    q->wake_.release();
   }
-  unparked_.notify_all();
 }
 
 }  // namespace crowdtopk::serve

@@ -196,7 +196,7 @@ std::vector<QueryOutcome> QueryService::Replay(
       const int64_t stream = requests[id].seed_stream >= 0
                                  ? requests[id].seed_stream
                                  : id;
-      scheduler_->AdmitQuery(id, stream);
+      BatchScheduler::Query* query = scheduler_->AdmitQuery(id, stream);
       ++inflight;
       if (persist_ != nullptr) persist_->OnEvent(persist::EncodeAdmit(id));
       cache::CacheClient* client = nullptr;
@@ -208,22 +208,18 @@ std::vector<QueryOutcome> QueryService::Replay(
             cache_.get(), universes_[id], requests[id].cache_item_ids);
         client = slot.get();
       }
-      drivers.emplace_back([this, id, client] { DriverMain(id, client); });
+      drivers.emplace_back(
+          [this, id, query, client] { DriverMain(id, query, client); });
     }
 
-    scheduler_->WaitQuiescent();
-    // DrainFinished returns completion-callback order, which depends on
-    // thread timing; the complete events want the deterministic query-id
-    // order.
-    std::vector<int64_t> finished = scheduler_->DrainFinished();
-    std::sort(finished.begin(), finished.end());
+    const std::vector<int64_t> finished = scheduler_->WaitQuiescent();
     inflight -= static_cast<int64_t>(finished.size());
     done += static_cast<int64_t>(finished.size());
     SealBarrier(finished, next_arrival, done);
     if (!finished.empty()) {
       continue;  // freed slots admit waiting queries before the next round
     }
-    if (scheduler_->AnyParked()) {
+    if (inflight > 0) {
       scheduler_->ExecuteRound();
     } else if (next_arrival < n) {
       // Nothing in flight: idle forward to the next arrival.
@@ -386,13 +382,13 @@ void QueryService::WritePersistTrace() const {
   }
 }
 
-void QueryService::DriverMain(int64_t query_id, cache::CacheClient* client) {
+void QueryService::DriverMain(int64_t query_id, BatchScheduler::Query* query,
+                              cache::CacheClient* client) {
   const QueryRequest& request = (*requests_)[query_id];
   const int64_t stream =
       request.seed_stream >= 0 ? request.seed_stream : query_id;
   AsyncPlatform platform(request.dataset,
-                         util::SplitSeed(judgment_seed_, stream),
-                         scheduler_.get(), query_id);
+                         util::SplitSeed(judgment_seed_, stream), query);
   telemetry::TraceRecorder recorder;
   const bool tracing = !options_.trace_dir.empty();
   if (tracing) platform.SetRecorder(&recorder);
@@ -430,7 +426,7 @@ void QueryService::DriverMain(int64_t query_id, cache::CacheClient* client) {
   if (tracing) {
     // The serve counters are stable here: the clock is frozen while this
     // driver runs, and a drained query has no assignments left in flight.
-    const QueryServeStats stats = scheduler_->QueryStats(query_id);
+    const QueryServeStats& stats = query->stats();
     recorder.RecordCounter("serve/expired_assignments",
                            static_cast<double>(stats.expired_assignments));
     recorder.RecordCounter("serve/requeued_assignments",
@@ -439,7 +435,7 @@ void QueryService::DriverMain(int64_t query_id, cache::CacheClient* client) {
                            static_cast<double>(stats.failed_assignments));
     DumpQueryTrace(recorder, request, query_id);
   }
-  scheduler_->FinishQuery(query_id);
+  query->Finish();
 }
 
 void QueryService::DumpQueryTrace(const telemetry::TraceRecorder& recorder,

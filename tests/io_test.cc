@@ -13,7 +13,7 @@ namespace crowdtopk::data {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return "/tmp/crowdtopk_io_test_" + name;
+  return ::testing::TempDir() + "crowdtopk_io_test_" + name;
 }
 
 void WriteFile(const std::string& path, const std::string& content) {

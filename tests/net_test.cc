@@ -343,6 +343,38 @@ TEST(NetServerTest, StartWithoutEngineIsAnError) {
   EXPECT_EQ(server.Start().code(), util::StatusCode::kInvalidArgument);
 }
 
+// A port outside the TCP range is refused, not truncated to 16 bits
+// (70000 would listen on 4464, -1 on 65535).
+TEST(NetServerTest, StartRefusesOutOfRangePort) {
+  for (const int64_t port : {int64_t{-1}, int64_t{65536}, int64_t{70000}}) {
+    SCOPED_TRACE(port);
+    ServerOptions options;
+    options.port = port;
+    options.engine_factory = [](const ServerOptions&, std::function<void()>)
+        -> std::unique_ptr<Engine> { return nullptr; };
+    Server server{options};
+    const util::Status status = server.Start();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              "port must be in [0, 65535], got " + std::to_string(port));
+  }
+}
+
+// A client dials only ports in [1, 65535]; a larger one is refused instead
+// of wrapping to another port.
+TEST(NetClientTest, ConnectRefusesOutOfRangePort) {
+  for (const int64_t port : {int64_t{-1}, int64_t{0}, int64_t{65536},
+                             int64_t{70000}}) {
+    SCOPED_TRACE(port);
+    ClientOptions options;
+    options.port = port;
+    options.max_retries = 0;
+    Client client(options);
+    EXPECT_EQ(client.Connect().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_FALSE(client.connected());
+  }
+}
+
 // Starts a real Server on an ephemeral loopback port, with the engine
 // crowdtopk_router runs by default and a tiny injected dataset (12 items)
 // so queries finish in milliseconds; Serve() runs on a background thread

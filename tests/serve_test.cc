@@ -9,9 +9,11 @@
 #include <array>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/heap_sort.h"
@@ -67,13 +69,17 @@ class ScriptedAlgorithm : public core::TopKAlgorithm {
 };
 
 // Runs the minimal service loop for a standalone scheduler until `queries`
-// driver threads have finished.
-void PumpScheduler(BatchScheduler* scheduler, int64_t queries) {
+// admitted driver threads have finished; returns what each WaitQuiescent
+// call returned.
+std::vector<std::vector<int64_t>> PumpScheduler(BatchScheduler* scheduler,
+                                                int64_t queries) {
+  std::vector<std::vector<int64_t>> finished;
   int64_t done = 0;
-  while (done < queries) {
-    scheduler->WaitQuiescent();
-    done += static_cast<int64_t>(scheduler->DrainFinished().size());
-    if (done < queries && scheduler->AnyParked()) scheduler->ExecuteRound();
+  while (true) {
+    finished.push_back(scheduler->WaitQuiescent());
+    done += static_cast<int64_t>(finished.back().size());
+    if (done == queries) return finished;
+    scheduler->ExecuteRound();  // every unfinished driver is parked
   }
 }
 
@@ -96,17 +102,17 @@ TEST(AsyncPlatformTest, ServedQueryMatchesPrivateRun) {
   const core::TopKResult expected = algorithm.Run(&direct, 5);
 
   BatchScheduler scheduler(ReliableCrowd(), /*seed=*/999, nullptr);
-  scheduler.AdmitQuery(0);
+  BatchScheduler::Query* query = scheduler.AdmitQuery(0);
   core::TopKResult served;
   int64_t served_microtasks = 0;
   int64_t served_rounds = 0;
   std::thread driver([&] {
-    AsyncPlatform platform(dataset.get(), /*seed=*/123, &scheduler, 0);
+    AsyncPlatform platform(dataset.get(), /*seed=*/123, query);
     served = algorithm.Run(&platform, 5);
     platform.Drain();
     served_microtasks = platform.total_microtasks();
     served_rounds = platform.rounds();
-    scheduler.FinishQuery(0);
+    query->Finish();
   });
   PumpScheduler(&scheduler, 1);
   driver.join();
@@ -114,6 +120,59 @@ TEST(AsyncPlatformTest, ServedQueryMatchesPrivateRun) {
   EXPECT_EQ(served.items, expected.items);
   EXPECT_EQ(served_microtasks, direct.total_microtasks());
   EXPECT_EQ(served_rounds, direct.rounds());
+}
+
+// Drivers woken by one round finish in whatever order the OS runs them;
+// WaitQuiescent still returns their ids ascending, the order the persist
+// digest and the cache commits rely on. Admission runs in descending id
+// order, so admission order does not give that for free.
+TEST(SchedulerTest, QueriesFinishingTogetherReturnInIdOrder) {
+  BatchScheduler scheduler(ReliableCrowd(), /*seed=*/5, nullptr);
+  std::vector<BatchScheduler::Query*> queries(8);
+  for (int64_t id = 7; id >= 0; --id) queries[id] = scheduler.AdmitQuery(id);
+  std::vector<std::thread> drivers;
+  for (BatchScheduler::Query* query : queries) {
+    drivers.emplace_back([query] {
+      query->PostPurchase(0, 1, /*count=*/3);
+      query->Barrier(1);
+      query->Finish();
+    });
+  }
+  const std::vector<std::vector<int64_t>> finished =
+      PumpScheduler(&scheduler, 8);
+  for (std::thread& driver : drivers) driver.join();
+
+  ASSERT_EQ(finished.size(), 2u);
+  EXPECT_TRUE(finished[0].empty());  // all eight parked at round 0
+  EXPECT_EQ(finished[1], (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (int64_t id = 0; id < 8; ++id) {
+    EXPECT_EQ(scheduler.QueryStats(id).finished_round, 1);
+  }
+  EXPECT_EQ(scheduler.assignment_stats().completed, 24);
+}
+
+// A serving time of inf or NaN is refused by name: an infinite deadline
+// would print "makespan inf s" and put bare inf tokens, which are not JSON,
+// into the JSONL report.
+TEST(SchedulerTest, NonFiniteTimesAreRefused) {
+  const std::pair<double ScheduleOptions::*, std::string> fields[] = {
+      {&ScheduleOptions::mean_pickup_seconds, "mean_pickup_seconds"},
+      {&ScheduleOptions::mean_task_seconds, "mean_task_seconds"},
+      {&ScheduleOptions::task_time_sigma, "task_time_sigma"},
+      {&ScheduleOptions::deadline_seconds, "deadline_seconds"},
+  };
+  for (const auto& [field, name] : fields) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      SCOPED_TRACE(name + " = " + std::to_string(bad));
+      ScheduleOptions options;
+      options.*field = bad;
+      const util::Status status = CheckScheduleOptions(options);
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(status.message().rfind(name + " must be finite", 0), 0u)
+          << status.message();
+    }
+  }
 }
 
 // Round-robin wave selection must not starve anyone: four identical
@@ -493,7 +552,8 @@ TEST(QueryServiceTest, AdmissionQueueOverflowRejects) {
 
 // The determinism contract of the whole layer: same options + seed + trace
 // => bit-identical rendered report and per-query table for any worker
-// count, stragglers included.
+// count, stragglers included. The second input wakes up to 64 drivers per
+// round and commits the cache inserts of all of them at each barrier.
 TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
   const auto dataset = data::MakeUniformLadder(16, 1.0, 0.8);
   judgment::ComparisonOptions comparison;
@@ -501,33 +561,49 @@ TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
   baselines::QuickSelectTopK quick(comparison);
   core::TopKAlgorithm* algorithms[] = {&heap, &quick};
 
-  const std::vector<double> arrivals = PoissonArrivals(10, 0.01, 77);
-  std::vector<QueryRequest> requests(10);
-  for (int64_t q = 0; q < 10; ++q) {
-    requests[q].algorithm = algorithms[q % 2];
-    requests[q].dataset = dataset.get();
-    requests[q].k = 4;
-  }
+  struct Input {
+    std::vector<double> arrivals;
+    int64_t max_inflight;
+    bool cache;
+  };
+  const Input inputs[] = {
+      {PoissonArrivals(10, 0.01, 77), 4, false},
+      {std::vector<double>(96, 0.0), 64, true},  // all arrive together
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.max_inflight);
+    const int64_t n = static_cast<int64_t>(input.arrivals.size());
+    std::vector<QueryRequest> requests(n);
+    for (int64_t q = 0; q < n; ++q) {
+      requests[q].algorithm = algorithms[q % 2];
+      requests[q].dataset = dataset.get();
+      requests[q].k = 4;
+    }
 
-  std::string rendered[2];
-  std::string tables[2];
-  const int64_t jobs[] = {1, 8};
-  for (int v = 0; v < 2; ++v) {
-    ServeOptions options;
-    options.schedule.abandon_probability = 0.1;  // exercise requeues too
-    options.max_inflight = 4;
-    options.jobs = jobs[v];
-    options.seed = 77;
-    QueryService service(options);
-    const std::vector<QueryOutcome> outcomes =
-        service.Replay(requests, arrivals);
-    rendered[v] = RenderServeReport(
-        BuildServeReport(outcomes, service.assignment_stats(),
-                         service.makespan_seconds(), service.total_rounds()));
-    tables[v] = RenderQueryTable(outcomes);
+    std::string rendered[2];
+    std::string tables[2];
+    const int64_t jobs[] = {1, 8};
+    for (int v = 0; v < 2; ++v) {
+      ServeOptions options;
+      options.schedule.abandon_probability = 0.1;  // exercise requeues too
+      options.max_inflight = input.max_inflight;
+      options.jobs = jobs[v];
+      options.seed = 77;
+      options.cache.enabled = input.cache;
+      QueryService service(options);
+      const std::vector<QueryOutcome> outcomes =
+          service.Replay(requests, input.arrivals);
+      rendered[v] = RenderServeReport(BuildServeReport(
+          outcomes, service.assignment_stats(), service.makespan_seconds(),
+          service.total_rounds()));
+      tables[v] = RenderQueryTable(outcomes);
+      if (input.cache) {
+        EXPECT_GT(service.cache_stats().hits, 0);
+      }
+    }
+    EXPECT_EQ(rendered[0], rendered[1]);
+    EXPECT_EQ(tables[0], tables[1]);
   }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(tables[0], tables[1]);
 }
 
 // Byte image of a cache export, for exact comparison.

@@ -192,7 +192,7 @@ TEST(TableTest, CsvRoundTrip) {
   table.SetHeader({"name", "value"});
   table.AddRow({"a", "1"});
   table.AddRow({"with,comma", "2"});
-  const std::string path = "/tmp/crowdtopk_table_test.csv";
+  const std::string path = ::testing::TempDir() + "crowdtopk_table_test.csv";
   ASSERT_TRUE(table.WriteCsv(path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
