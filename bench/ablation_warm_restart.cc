@@ -20,9 +20,14 @@
 //   CROWDTOPK_CACHE_K         top-k per query               (default 10)
 //   CROWDTOPK_RUNS, CROWDTOPK_SEED, CROWDTOPK_JOBS as everywhere else.
 
+#include <stdlib.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench/harness.h"
@@ -30,7 +35,6 @@
 #include "persist/recovery.h"
 #include "serve/query_service.h"
 #include "util/check.h"
-#include "util/file_io.h"
 
 int main() {
   using namespace crowdtopk;
@@ -55,7 +59,7 @@ int main() {
 
   // Record: {tmc_day1, tmc_cold, tmc_warm, hits_warm, restored}.
   const std::vector<double> mean = bench::AverageOver(
-      runs, seed, [&](int64_t run, uint64_t run_seed) -> std::vector<double> {
+      runs, seed, [&](int64_t, uint64_t run_seed) -> std::vector<double> {
         util::Rng rng(run_seed);
         const auto universe = data::MakeUniformLadder(universe_n, 10.0, 2.0);
         std::vector<std::unique_ptr<data::SubsetDataset>> subsets;
@@ -97,10 +101,14 @@ int main() {
           *restored = static_cast<double>(service.cache_stats().restored);
         };
 
-        // Day 1: persist into a per-run scratch directory.
-        const std::string dir =
-            "/tmp/crowdtopk_warm_restart_" + std::to_string(run_seed) + "_" +
-            std::to_string(run);
+        // Day 1: persist into a private per-run scratch directory, so runs
+        // executing at once (and concurrent bench processes) never share one.
+        const char* tmpdir = std::getenv("TMPDIR");
+        std::string dir =
+            std::string(tmpdir != nullptr && tmpdir[0] != '\0' ? tmpdir
+                                                               : "/tmp") +
+            "/crowdtopk_warm_restart.XXXXXX";
+        CROWDTOPK_CHECK(mkdtemp(dir.data()) != nullptr);
         double tmc_day1, hits_day1, restored_day1;
         replay(dir, {}, &tmc_day1, &hits_day1, &restored_day1);
 
@@ -114,13 +122,8 @@ int main() {
         replay("", snapshot.cache_entries, &tmc_warm, &hits_warm,
                &restored_warm);
 
-        // Scratch cleanup; stray files only cost /tmp space if this fails.
-        std::vector<std::string> files;
-        if (util::ListDirectoryFiles(dir, &files).ok()) {
-          for (const std::string& f : files) {
-            (void)!util::RemoveFileIfExists(dir + "/" + f).ok();
-          }
-        }
+        std::error_code ignored;
+        std::filesystem::remove_all(dir, ignored);
         return {tmc_day1, tmc_cold, tmc_warm, hits_warm, restored_warm};
       });
 

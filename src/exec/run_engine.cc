@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "exec/parallel_for.h"
-#include "exec/result_sink.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -186,7 +185,9 @@ std::vector<std::vector<double>> RunEngine::Run(
     int64_t jobs_override) {
   CROWDTOPK_CHECK_GE(runs, 0);
   const int64_t jobs = jobs_override > 0 ? jobs_override : default_jobs();
-  ResultSink sink(runs);
+  // ParallelFor runs body(r) exactly once per r and returns after all of
+  // them, so each run writes only its own slot and needs no lock.
+  std::vector<std::vector<double>> records(static_cast<size_t>(runs));
   std::atomic<int64_t> done{0};
   RunRegistry* registry = options_.registry;
   const auto& progress = options_.progress;
@@ -195,21 +196,17 @@ std::vector<std::vector<double>> RunEngine::Run(
     // independent of dispatch order, thread, and worker count.
     const uint64_t run_seed =
         util::SplitSeed(master_seed, static_cast<uint64_t>(r));
-    std::vector<double> values;
-    if (registry != nullptr && registry->Lookup(key, r, run_seed, &values)) {
-      sink.Put(r, std::move(values));
-    } else {
+    std::vector<double>& values = records[static_cast<size_t>(r)];
+    if (registry == nullptr || !registry->Lookup(key, r, run_seed, &values)) {
       values = task(r, run_seed);
       if (registry != nullptr) registry->Record(key, r, run_seed, values);
-      sink.Put(r, std::move(values));
     }
     if (progress) {
       progress(key, done.fetch_add(1, std::memory_order_relaxed) + 1, runs);
     }
   };
   ParallelFor(PoolFor(jobs), 0, runs, body, jobs);
-  ++points_completed_;
-  return sink.Take();
+  return records;
 }
 
 std::vector<double> RunEngine::RunMean(

@@ -3,12 +3,12 @@
 // The paper's evaluation averages ~100 repetitions per experiment point;
 // repetitions are embarrassingly parallel by construction (each run owns a
 // fresh CrowdPlatform, oracle view, and RNG stream). RunEngine is the piece
-// that exploits that: it dispatches run indices onto the work-stealing
-// thread pool, hands each run an RNG seed derived *by index* with
-// util::SplitSeed (never by drawing from a shared seeder, so seeds are
-// independent of execution order), collects the per-run records in a
-// ResultSink, and returns them in canonical run order — which makes every
-// downstream aggregate bit-identical to the single-threaded loop it
+// that exploits that: it dispatches run indices with ParallelFor, hands
+// each run an RNG seed derived *by index* with util::SplitSeed (never by
+// drawing from a shared seeder, so seeds are independent of execution
+// order), and has run r write its record into slot r of a pre-sized
+// vector, so the records come back in canonical run order — which makes
+// every downstream aggregate bit-identical to the single-threaded loop it
 // replaced, for any worker count.
 //
 // An optional RunRegistry provides resume: every completed run is appended
@@ -111,9 +111,6 @@ class RunEngine {
   // hardware concurrency).
   int64_t default_jobs() const;
 
-  // Experiment points completed by this engine so far.
-  int64_t points_completed() const { return points_completed_; }
-
  private:
   // The pool backing a dispatch with `jobs` workers; nullptr for jobs <= 1.
   // Grows (rebuilds) the pool if a wider dispatch is requested.
@@ -121,7 +118,6 @@ class RunEngine {
 
   Options options_;
   std::unique_ptr<ThreadPool> pool_;
-  int64_t points_completed_ = 0;
 };
 
 }  // namespace crowdtopk::exec

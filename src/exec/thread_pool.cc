@@ -10,13 +10,9 @@ namespace crowdtopk::exec {
 
 ThreadPool::ThreadPool(int64_t num_threads) {
   if (num_threads < 1) num_threads = 1;
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int64_t i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int64_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -32,17 +28,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   CROWDTOPK_CHECK(task != nullptr);
-  const int64_t target =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % num_threads();
-  {
-    Worker& worker = *workers_[static_cast<size_t>(target)];
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    worker.tasks.push_back(std::move(task));
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     CROWDTOPK_CHECK(!stop_);
-    ++queued_;
+    tasks_.push_back(std::move(task));
     ++unfinished_;
   }
   wake_.notify_one();
@@ -58,44 +47,14 @@ int64_t ThreadPool::HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int64_t>(hw);
 }
 
-bool ThreadPool::TryPop(int64_t self, std::function<void()>* task) {
-  // Own deque: LIFO.
-  {
-    Worker& mine = *workers_[static_cast<size_t>(self)];
-    std::lock_guard<std::mutex> lock(mine.mutex);
-    if (!mine.tasks.empty()) {
-      *task = std::move(mine.tasks.back());
-      mine.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal: scan siblings starting after self, FIFO from their front.
-  const int64_t n = num_threads();
-  for (int64_t offset = 1; offset < n; ++offset) {
-    Worker& victim = *workers_[static_cast<size_t>((self + offset) % n)];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(int64_t self) {
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stop_ || queued_ > 0; });
-      if (queued_ == 0) return;  // stop_, and nothing left to claim
-      --queued_;                 // claim one task before popping
-    }
-    // The claim guarantees at least as many visible tasks as claimants, but
-    // a sibling's scan may momentarily beat us to "our" deque entry, so
-    // retry until the claimed task is found.
-    std::function<void()> task;
-    while (!TryPop(self, &task)) std::this_thread::yield();
+    wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // stop_, and nothing left to run
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
     try {
       task();
     } catch (const std::exception& e) {
@@ -108,12 +67,9 @@ void ThreadPool::WorkerLoop(int64_t self) {
       std::fprintf(stderr, "exec::ThreadPool: task threw; aborting\n");
       std::abort();
     }
-    bool all_done;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      all_done = --unfinished_ == 0;
-    }
-    if (all_done) drained_.notify_all();
+    task = nullptr;  // release its captures before it counts as finished
+    lock.lock();
+    if (--unfinished_ == 0) drained_.notify_all();
   }
 }
 

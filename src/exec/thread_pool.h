@@ -1,14 +1,14 @@
-// Work-stealing thread pool: the bottom layer of the execution subsystem.
+// Thread pool: the bottom layer of the execution subsystem.
 //
-// N worker threads each own a deque of tasks. A worker services its own
-// deque LIFO (newest first, for cache locality of nested submissions) and,
-// when empty, steals from the *front* of a sibling's deque (oldest first,
-// so stolen work is the work least likely to be touched by its owner soon).
-// External Submit() calls distribute round-robin across the worker deques.
+// N worker threads take tasks from one FIFO queue guarded by one mutex.
+// The only production client, ParallelFor, submits identical helper loops
+// that claim indices from a shared atomic cursor, so the loop balances
+// itself whichever worker picks up which helper; the pool needs no second
+// scheduling policy.
 //
 // The pool makes no ordering or fairness promises — determinism is the
 // responsibility of the layers above (parallel_for assigns work by index,
-// run_engine derives per-task RNG streams by index and reduces results in
+// run_engine derives per-task RNG streams by index and keeps records in
 // index order), which is exactly what lets this layer schedule greedily.
 //
 // Tasks must not throw: an exception escaping a task aborts the process
@@ -23,12 +23,10 @@
 #ifndef CROWDTOPK_EXEC_THREAD_POOL_H_
 #define CROWDTOPK_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,7 +45,7 @@ class ThreadPool {
   ~ThreadPool();
 
   int64_t num_threads() const {
-    return static_cast<int64_t>(workers_.size());
+    return static_cast<int64_t>(threads_.size());
   }
 
   // Enqueues `task` for execution on some worker thread. Thread-safe.
@@ -61,31 +59,17 @@ class ThreadPool {
   static int64_t HardwareThreads();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> tasks;
-    std::mutex mutex;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(int64_t self);
-
-  // Pops one task: own deque back first, then steals siblings' fronts.
-  // Returns false if every deque is empty at scan time.
-  bool TryPop(int64_t self, std::function<void()>* task);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::atomic<int64_t> next_worker_{0};  // round-robin submission cursor
-
-  // Guards sleep/wake and the counters below. Kept separate from the
-  // per-worker deque mutexes. Invariant: a task is pushed to its deque
-  // *before* queued_ is incremented, and a worker decrements queued_
-  // *before* popping, so queued_ > 0 implies work is visible in a deque.
-  std::mutex mutex_;
-  std::condition_variable wake_;      // workers wait here when idle
-  std::condition_variable drained_;   // Drain()/dtor wait here
-  int64_t queued_ = 0;                // pushed but not yet claimed
-  int64_t unfinished_ = 0;            // submitted but not yet completed
+  std::mutex mutex_;  // guards tasks_, unfinished_ and stop_
+  std::condition_variable wake_;     // workers wait here when idle
+  std::condition_variable drained_;  // Drain()/dtor wait here
+  std::deque<std::function<void()>> tasks_;
+  int64_t unfinished_ = 0;  // submitted but not yet completed
   bool stop_ = false;
+
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace crowdtopk::exec

@@ -1,7 +1,7 @@
 // Tests for the parallel experiment-execution subsystem (src/exec): the
-// work-stealing thread pool, deterministic parallel_for, result sink,
-// run registry (resume), run engine, and — the property everything above
-// exists to guarantee — bit-identical bench results for any worker count.
+// thread pool, deterministic parallel_for, run registry (resume), run
+// engine, and — the property everything above exists to guarantee —
+// bit-identical bench results for any worker count.
 
 #include <unistd.h>
 
@@ -23,7 +23,6 @@
 #include "core/spr.h"
 #include "data/generators.h"
 #include "exec/parallel_for.h"
-#include "exec/result_sink.h"
 #include "exec/run_engine.h"
 #include "exec/thread_pool.h"
 #include "util/random.h"
@@ -101,8 +100,7 @@ TEST(ThreadPoolTest, SingleThreadPoolStillRunsTasks) {
 }
 
 TEST(ThreadPoolTest, SubmitFromWorkerThreads) {
-  // Nested submission: tasks submitting tasks (the work-stealing deques'
-  // LIFO/steal split exists for exactly this shape).
+  // Nested submission: tasks submitting tasks while the workers are busy.
   std::atomic<int64_t> count{0};
   exec::ThreadPool pool(4);
   for (int i = 0; i < 20; ++i) {
@@ -156,26 +154,6 @@ TEST(ParallelForTest, PropagatesSmallestFailingIndex) {
   std::atomic<int64_t> count{0};
   exec::ParallelFor(&pool, 0, 64, [&count](int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 64);
-}
-
-// --------------------------------------------------------------- ResultSink
-
-TEST(ResultSinkTest, ReducesInCanonicalOrder) {
-  exec::ResultSink sink(3);
-  // Out-of-order deposit, as a parallel schedule would produce.
-  sink.Put(2, {3.0, 30.0});
-  EXPECT_FALSE(sink.Complete());
-  sink.Put(0, {1.0, 10.0});
-  sink.Put(1, {2.0, 20.0});
-  EXPECT_TRUE(sink.Complete());
-  const std::vector<double> mean = sink.Mean();
-  ASSERT_EQ(mean.size(), 2u);
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 20.0);
-  const auto records = sink.Take();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0], (std::vector<double>{1.0, 10.0}));
-  EXPECT_EQ(records[2], (std::vector<double>{3.0, 30.0}));
 }
 
 // -------------------------------------------------------------- RunRegistry
@@ -248,6 +226,36 @@ TEST(RunRegistryTest, EngineSkipsRecordedRuns) {
     EXPECT_EQ(executed.load(), 20);
   }
   std::remove(path.c_str());
+
+  // A journal holding only the even runs: one dispatch mixes journal hits
+  // with executed runs, and each writes only its own record slot.
+  const std::string half_path = TempPath("crowdtopk_registry_half");
+  std::remove(half_path.c_str());
+  {
+    exec::RunRegistry writer(half_path);
+    for (int64_t r = 0; r < 10; r += 2) {
+      writer.Record(key, r, util::SplitSeed(99, static_cast<uint64_t>(r)),
+                    first[static_cast<size_t>(r)]);
+    }
+  }
+  std::vector<std::atomic<int32_t>> ran(10);
+  for (auto& count : ran) count.store(0);
+  exec::RunRegistry registry(half_path);
+  exec::RunEngine::Options options;
+  options.jobs = 4;
+  options.registry = &registry;
+  exec::RunEngine engine(options);
+  const auto third =
+      engine.Run(key, 10, 99, [&](int64_t r, uint64_t run_seed) {
+        ran[static_cast<size_t>(r)].fetch_add(1);
+        return task(r, run_seed);
+      });
+  for (int64_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(ran[static_cast<size_t>(r)].load(), r % 2) << "run " << r;
+  }
+  EXPECT_EQ(third, first);
+  EXPECT_EQ(registry.size(), 10);
+  std::remove(half_path.c_str());
 }
 
 // ---------------------------------------------------------------- RunEngine

@@ -65,7 +65,9 @@ Workload knobs
 Output knobs
   CROWDTOPK_LOADGEN_REPORT  also write the report to this path (default "")
 
-Exit codes: 0 all queries reached a terminal outcome, 1 transport failure.
+Exit codes: 0 all queries reached a terminal outcome, 1 transport failure,
+unknown argument, missing CROWDTOPK_NET_PORT or nothing to do, 2 knob out
+of range (CROWDTOPK_LOADGEN_RATE <= 0).
 )";
 
 void Appendf(std::string* out, const char* fmt, ...) {
@@ -135,6 +137,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "nothing to do (queries=%lld, %zu algos)\n",
                  static_cast<long long>(queries), algos.size());
     return 1;
+  }
+  // Written so that a NaN fails it too.
+  if (!(rate > 0.0)) {
+    std::fprintf(stderr,
+                 "crowdtopk_loadgen: CROWDTOPK_LOADGEN_RATE must be > 0 "
+                 "(try --help)\n");
+    return 2;
   }
 
   const std::vector<double> arrivals =

@@ -31,16 +31,23 @@
 // "<label>+fault" variant against the faulty crowd. Faulty-crowd verdicts
 // are diagnostic — the paper's contracts assume honest workers, so a FAIL
 // there documents degradation rather than a bug. The process exit code
-// reflects clean-crowd checks only: 0 iff none of them is a FAIL.
+// reflects clean-crowd checks only: 0 iff none of them is a FAIL. Every
+// knob is checked before any check runs: a malformed or out-of-range value
+// ends in one line naming it and exit code 2.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/run_engine.h"
 #include "fault/injector.h"
 #include "judgment/comparison.h"
-#include "util/check.h"
 #include "util/env.h"
 #include "verify/guarantee.h"
 
@@ -48,13 +55,27 @@ namespace {
 
 using namespace crowdtopk;
 
-judgment::Estimator ParseEstimator(const std::string& name) {
+std::optional<judgment::Estimator> ParseEstimator(const std::string& name) {
   if (name == "student") return judgment::Estimator::kStudent;
   if (name == "stein") return judgment::Estimator::kStein;
   if (name == "hoeffding") return judgment::Estimator::kHoeffding;
   if (name == "anytime") return judgment::Estimator::kAnytime;
-  CROWDTOPK_CHECK(false && "unknown CROWDTOPK_VERIFY_ESTIMATORS entry");
-  return judgment::Estimator::kStudent;
+  return std::nullopt;
+}
+
+// Parses all of `text` as a number: no trailing characters, no overflow.
+bool ParseWholeDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+// Reports a knob value that is malformed or out of its range; exit code 2.
+int BadKnob(const std::string& message) {
+  std::fprintf(stderr, "crowdtopk_verify: %s (try --help)\n",
+               message.c_str());
+  return 2;
 }
 
 fault::FaultPlan EnvFaultPlan() {
@@ -89,7 +110,7 @@ Usage: crowdtopk_verify [--help]
 Runs Monte-Carlo sweeps that check the paper's probabilistic contracts
 (COMP correctness >= 1 - alpha; SPR expected precision >= (1 - alpha)/c)
 on a clean crowd and, when any CROWDTOPK_FAULT_* fraction is positive,
-on a faulty crowd too. Exit code is 0 iff no clean-crowd check FAILs.
+on a faulty crowd too.
 
 All knobs are environment variables:
 
@@ -116,6 +137,10 @@ Common knobs
   CROWDTOPK_SEED               base RNG seed                      (default 42)
   CROWDTOPK_JOBS               worker threads; report is bit-identical
                                for every value                    (default hw)
+
+Exit codes: 0 every clean-crowd check passes, 1 a clean-crowd check
+FAILs, 2 bad argument, knob malformed or out of range, or report write
+failure.
 )";
 
 }  // namespace
@@ -149,9 +174,60 @@ int main(int argc, char** argv) {
   const std::vector<std::string> estimator_names = util::SplitCsv(
       util::GetEnvString("CROWDTOPK_VERIFY_ESTIMATORS",
                          "student,stein,hoeffding"));
-  CROWDTOPK_CHECK(!alpha_names.empty() && !estimator_names.empty());
-
   const fault::FaultPlan faults = EnvFaultPlan();
+
+  // Each condition is written so that a NaN fails it.
+  if (options.max_trials < 1) {
+    return BadKnob("CROWDTOPK_VERIFY_TRIALS must be >= 1");
+  }
+  if (options.block_trials < 1) {
+    return BadKnob("CROWDTOPK_VERIFY_BLOCK must be >= 1");
+  }
+  if (!(options.band_alpha > 0.0 && options.band_alpha < 1.0)) {
+    return BadKnob("CROWDTOPK_VERIFY_BAND_ALPHA must be in (0, 1)");
+  }
+  if (alpha_names.empty()) {
+    return BadKnob("CROWDTOPK_VERIFY_ALPHAS must list at least one alpha");
+  }
+  std::vector<double> alphas;
+  for (const std::string& name : alpha_names) {
+    double alpha = 0.0;
+    if (!ParseWholeDouble(name, &alpha) || !(alpha > 0.0 && alpha < 1.0)) {
+      return BadKnob("CROWDTOPK_VERIFY_ALPHAS entry '" + name +
+                     "' must be a number in (0, 1)");
+    }
+    alphas.push_back(alpha);
+  }
+  if (estimator_names.empty()) {
+    return BadKnob(
+        "CROWDTOPK_VERIFY_ESTIMATORS must list at least one estimator");
+  }
+  std::vector<judgment::Estimator> estimators;
+  for (const std::string& name : estimator_names) {
+    const std::optional<judgment::Estimator> estimator = ParseEstimator(name);
+    if (!estimator) {
+      return BadKnob("unknown CROWDTOPK_VERIFY_ESTIMATORS entry '" + name +
+                     "'");
+    }
+    estimators.push_back(*estimator);
+  }
+  if (!(std::isfinite(effect) && effect > 0.0)) {
+    return BadKnob("CROWDTOPK_VERIFY_EFFECT must be finite and > 0");
+  }
+  if (budget < 1) return BadKnob("CROWDTOPK_VERIFY_BUDGET must be >= 1");
+  for (const auto& [knob, fraction] :
+       std::initializer_list<std::pair<const char*, double>>{
+           {"CROWDTOPK_FAULT_SPAMMER", faults.spammer_fraction},
+           {"CROWDTOPK_FAULT_ADVERSARY", faults.adversary_fraction},
+           {"CROWDTOPK_FAULT_LAZY", faults.lazy_fraction},
+           {"CROWDTOPK_FAULT_DUPLICATE", faults.duplicate_fraction}}) {
+    if (!(fraction >= 0.0 && fraction <= 1.0)) {
+      return BadKnob(std::string(knob) + " must be in [0, 1]");
+    }
+  }
+  if (faults.num_workers < 1) {
+    return BadKnob("CROWDTOPK_FAULT_WORKERS must be >= 1");
+  }
   const bool faulty_sweep = fault::AnyValueFaults(faults);
 
   exec::RunEngine::Options engine_options;
@@ -194,12 +270,13 @@ int main(int argc, char** argv) {
     reports.push_back(report);
   };
 
-  for (const std::string& alpha_name : alpha_names) {
-    const double alpha = std::stod(alpha_name);
-    for (const std::string& estimator_name : estimator_names) {
+  for (size_t a = 0; a < alphas.size(); ++a) {
+    const std::string& alpha_name = alpha_names[a];
+    const double alpha = alphas[a];
+    for (size_t e = 0; e < estimators.size(); ++e) {
       verify::CompCheckSpec spec;
-      spec.label = estimator_name + "_a" + alpha_name;
-      spec.estimator = ParseEstimator(estimator_name);
+      spec.label = estimator_names[e] + "_a" + alpha_name;
+      spec.estimator = estimators[e];
       spec.alpha = alpha;
       spec.effect = effect;
       spec.budget = budget;
