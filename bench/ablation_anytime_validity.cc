@@ -32,11 +32,10 @@ int64_t CountFalseDecisions(judgment::Estimator estimator, double alpha,
   options.min_workload = 2;  // peek from the very start (worst case)
   options.batch_size = 1;
   options.estimator = estimator;
-  stats::TCriticalCache t_cache(alpha);
   crowd::CrowdPlatform platform(&tied, seed);
   int64_t false_decisions = 0;
   for (int64_t t = 0; t < trials; ++t) {
-    judgment::ComparisonSession session(0, 1, &options, &t_cache);
+    judgment::ComparisonSession session(0, 1, &options);
     while (!session.Finished()) session.Step(&platform, 64);
     if (session.outcome() != crowd::ComparisonOutcome::kTie) {
       ++false_decisions;
@@ -54,12 +53,11 @@ double MeanWorkload(judgment::Estimator estimator, double alpha,
   options.min_workload = 30;
   options.batch_size = 1;
   options.estimator = estimator;
-  stats::TCriticalCache t_cache(alpha);
   crowd::CrowdPlatform platform(&pair, seed);
   double total = 0.0;
   const int64_t trials = 80;
   for (int64_t t = 0; t < trials; ++t) {
-    judgment::ComparisonSession session(1, 0, &options, &t_cache);
+    judgment::ComparisonSession session(1, 0, &options);
     while (!session.Finished()) session.Step(&platform, 64);
     total += static_cast<double>(session.workload());
   }

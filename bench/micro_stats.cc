@@ -52,17 +52,16 @@ void BM_StudentTQuantileUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_StudentTQuantileUncached);
 
-void BM_TCriticalCached(benchmark::State& state) {
-  crowdtopk::stats::TCriticalCache cache(0.02);
+void BM_TCriticalMemoised(benchmark::State& state) {
   // Warm the realistic df range once.
-  for (int df = 1; df <= 4000; ++df) cache.Get(df);
+  for (int df = 1; df <= 4000; ++df) crowdtopk::stats::TCritical(0.02, df);
   int df = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Get(df));
+    benchmark::DoNotOptimize(crowdtopk::stats::TCritical(0.02, df));
     if (++df > 4000) df = 1;
   }
 }
-BENCHMARK(BM_TCriticalCached);
+BENCHMARK(BM_TCriticalMemoised);
 
 void BM_BinomialTail(benchmark::State& state) {
   int k = 0;

@@ -35,7 +35,6 @@ ModelRow EvaluatePairwiseModel(const data::Dataset& dataset,
   options.min_workload = 30;
   options.batch_size = 1;  // per-sample stopping, as in Algorithm 1
   options.estimator = estimator;
-  stats::TCriticalCache t_cache(alpha);
 
   crowd::CrowdPlatform platform(&dataset, seed);
   double total_workload = 0.0;
@@ -44,8 +43,7 @@ ModelRow EvaluatePairwiseModel(const data::Dataset& dataset,
   for (size_t a = 0; a < items.size(); ++a) {
     for (size_t b = a + 1; b < items.size(); ++b) {
       for (int64_t r = 0; r < runs; ++r) {
-        judgment::ComparisonSession session(items[a], items[b], &options,
-                                            &t_cache);
+        judgment::ComparisonSession session(items[a], items[b], &options);
         // Run without polluting the latency counter (Table 3 is not a
         // latency experiment).
         while (!session.Finished()) session.Step(&platform, 256);

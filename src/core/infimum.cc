@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "crowd/platform.h"
-#include "stats/student_t.h"
 #include "util/check.h"
 
 namespace crowdtopk::core {
@@ -13,16 +12,14 @@ namespace {
 
 // Mean workload (and mean round count) of COMP(a, b) over `repetitions`
 // simulated runs.
-void MeanWorkload(const data::Dataset& dataset, crowd::ItemId a,
-                  crowd::ItemId b, const judgment::ComparisonOptions& options,
-                  stats::TCriticalCache* t_cache,
+void MeanWorkload(crowd::ItemId a, crowd::ItemId b,
+                  const judgment::ComparisonOptions& options,
                   crowd::CrowdPlatform* platform, int64_t repetitions,
                   double* mean_workload, double* mean_rounds) {
-  (void)dataset;
   double workload_total = 0.0;
   double rounds_total = 0.0;
   for (int64_t rep = 0; rep < repetitions; ++rep) {
-    judgment::ComparisonSession session(a, b, &options, t_cache);
+    judgment::ComparisonSession session(a, b, &options);
     int64_t local_rounds = 0;
     while (!session.Finished()) {
       session.Step(platform, options.batch_size);
@@ -47,7 +44,6 @@ InfimumEstimate EstimateInfimumWithReference(
   CROWDTOPK_CHECK_GE(repetitions, 1);
 
   const std::vector<crowd::ItemId>& order = dataset.TrueOrder();
-  stats::TCriticalCache t_cache(judgment::EffectiveAlpha(options));
   crowd::CrowdPlatform platform(&dataset, seed);
 
   InfimumEstimate estimate;
@@ -58,8 +54,8 @@ InfimumEstimate EstimateInfimumWithReference(
   for (int64_t j = 0; j + 1 < k; ++j) {
     double workload = 0.0;
     double rounds = 0.0;
-    MeanWorkload(dataset, order[j], order[j + 1], options, &t_cache,
-                 &platform, repetitions, &workload, &rounds);
+    MeanWorkload(order[j], order[j + 1], options, &platform, repetitions,
+                 &workload, &rounds);
     estimate.tmc += workload;
     max_sort_rounds = std::max(max_sort_rounds, rounds);
   }
@@ -67,8 +63,8 @@ InfimumEstimate EstimateInfimumWithReference(
   for (int64_t j = k; j < ell; ++j) {
     double workload = 0.0;
     double rounds = 0.0;
-    MeanWorkload(dataset, order[j], order[k - 1], options, &t_cache,
-                 &platform, repetitions, &workload, &rounds);
+    MeanWorkload(order[j], order[k - 1], options, &platform, repetitions,
+                 &workload, &rounds);
     estimate.tmc += workload;
     max_partition_rounds = std::max(max_partition_rounds, rounds);
   }
@@ -76,8 +72,8 @@ InfimumEstimate EstimateInfimumWithReference(
   for (int64_t j = ell; j < n; ++j) {
     double workload = 0.0;
     double rounds = 0.0;
-    MeanWorkload(dataset, order[j], order[ell - 1], options, &t_cache,
-                 &platform, repetitions, &workload, &rounds);
+    MeanWorkload(order[j], order[ell - 1], options, &platform, repetitions,
+                 &workload, &rounds);
     estimate.tmc += workload;
     max_partition_rounds = std::max(max_partition_rounds, rounds);
   }

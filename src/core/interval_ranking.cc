@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "stats/student_t.h"
 #include "util/check.h"
 
 namespace crowdtopk::core {
@@ -27,7 +28,8 @@ Interval ComputeInterval(ItemId o, ItemId reference,
   interval.mean = cache->EstimatedMean(o, reference);
   const double sd = cache->EstimatedStdDev(o, reference);
   interval.half_width =
-      cache->t_cache()->Get(n - 1) * sd / std::sqrt(static_cast<double>(n));
+      stats::TCritical(judgment::EffectiveAlpha(cache->options()), n - 1) *
+      sd / std::sqrt(static_cast<double>(n));
   return interval;
 }
 

@@ -19,7 +19,7 @@ cache::JudgmentKind KindFor(const ComparisonOptions& options) {
 
 ComparisonCache::ComparisonCache(const ComparisonOptions& options,
                                  crowd::CrowdPlatform* platform)
-    : options_(options), t_cache_(EffectiveAlpha(options)) {
+    : options_(options) {
   if (platform != nullptr) {
     shared_ = platform->cache_client();
     recorder_ = platform->recorder();
@@ -35,14 +35,14 @@ ComparisonCache::~ComparisonCache() {
   std::vector<uint64_t> keys;
   keys.reserve(sessions_.size());
   for (const auto& [key, session] : sessions_) {
-    if (session->Finished() && session->workload() > session->seeded_count()) {
+    if (session.Finished() && session.workload() > session.seeded_count()) {
       keys.push_back(key);
     }
   }
   std::sort(keys.begin(), keys.end());
   const cache::JudgmentKind kind = KindFor(options_);
   for (uint64_t key : keys) {
-    const ComparisonSession& session = *sessions_.at(key);
+    const ComparisonSession& session = sessions_.at(key);
     cache::CachedComparison entry;
     entry.outcome = session.outcome();
     entry.decisive = session.outcome() != ComparisonOutcome::kTie;
@@ -98,12 +98,10 @@ ComparisonSession* ComparisonCache::GetSession(ItemId i, ItemId j) {
   CROWDTOPK_CHECK_NE(i, j);
   const ItemId lo = std::min(i, j);
   const ItemId hi = std::max(i, j);
-  auto& slot = sessions_[Key(lo, hi)];
-  if (slot == nullptr) {
-    slot = std::make_unique<ComparisonSession>(lo, hi, &options_, &t_cache_);
-    ConsultSharedCache(slot.get());
-  }
-  return slot.get();
+  const auto [it, created] = sessions_.try_emplace(Key(lo, hi), lo, hi,
+                                                   &options_);
+  if (created) ConsultSharedCache(&it->second);
+  return &it->second;
 }
 
 const ComparisonSession* ComparisonCache::FindSession(ItemId i,
@@ -112,7 +110,7 @@ const ComparisonSession* ComparisonCache::FindSession(ItemId i,
   const ItemId lo = std::min(i, j);
   const ItemId hi = std::max(i, j);
   const auto it = sessions_.find(Key(lo, hi));
-  return it == sessions_.end() ? nullptr : it->second.get();
+  return it == sessions_.end() ? nullptr : &it->second;
 }
 
 ComparisonOutcome ComparisonCache::Compare(ItemId i, ItemId j,

@@ -4,7 +4,9 @@
 // comparisons are always reusable" (Section 5.3): the cache keys sessions by
 // the unordered item pair, so re-comparing a pair during sorting costs
 // nothing if it was already resolved during partitioning, and partially
-// funded comparisons resume instead of restarting.
+// funded comparisons resume instead of restarting. Sessions live in place
+// in a node-based map and point at the cache's own options, so the cache
+// can be neither copied nor moved.
 //
 // When the platform carries a cache::CacheClient (the cross-query judgment
 // cache, src/cache), the per-query cache additionally consults the shared
@@ -16,14 +18,12 @@
 #define CROWDTOPK_JUDGMENT_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "cache/cache_client.h"
 #include "crowd/platform.h"
 #include "crowd/types.h"
 #include "judgment/comparison.h"
-#include "stats/student_t.h"
 #include "telemetry/recorder.h"
 
 namespace crowdtopk::judgment {
@@ -41,11 +41,14 @@ class ComparisonCache {
   // no-op without one), in canonical key order for determinism.
   ~ComparisonCache();
 
+  ComparisonCache(const ComparisonCache&) = delete;
+  ComparisonCache& operator=(const ComparisonCache&) = delete;
+
   const ComparisonOptions& options() const { return options_; }
-  stats::TCriticalCache* t_cache() { return &t_cache_; }
 
   // The session for {i, j} in canonical orientation (smaller id on the
-  // left), creating it on first use.
+  // left), creating it on first use. The pointer stays valid as long as
+  // the cache lives.
   ComparisonSession* GetSession(ItemId i, ItemId j);
 
   // The session for {i, j} if one exists, else nullptr. Never creates.
@@ -86,8 +89,7 @@ class ComparisonCache {
   void ConsultSharedCache(ComparisonSession* session);
 
   ComparisonOptions options_;
-  stats::TCriticalCache t_cache_;
-  std::unordered_map<uint64_t, std::unique_ptr<ComparisonSession>> sessions_;
+  std::unordered_map<uint64_t, ComparisonSession> sessions_;
   cache::CacheClient* shared_ = nullptr;      // optional, not owned
   telemetry::TraceRecorder* recorder_ = nullptr;  // optional, not owned
 };

@@ -5,6 +5,7 @@
 
 #include "stats/anytime.h"
 #include "stats/hoeffding.h"
+#include "stats/student_t.h"
 #include "util/check.h"
 
 namespace crowdtopk::judgment {
@@ -15,11 +16,9 @@ double EffectiveAlpha(const ComparisonOptions& options) {
 }
 
 ComparisonSession::ComparisonSession(ItemId left, ItemId right,
-                                     const ComparisonOptions* options,
-                                     stats::TCriticalCache* t_cache)
-    : left_(left), right_(right), options_(options), t_cache_(t_cache) {
+                                     const ComparisonOptions* options)
+    : left_(left), right_(right), options_(options) {
   CROWDTOPK_CHECK(options != nullptr);
-  CROWDTOPK_CHECK(t_cache != nullptr);
   CROWDTOPK_CHECK_NE(left, right);
   CROWDTOPK_CHECK_GE(options->budget, 1);
   CROWDTOPK_CHECK_GE(options->min_workload, 2);
@@ -168,7 +167,8 @@ bool ComparisonSession::IntervalExcludesZeroStudent() const {
   // Degenerate bag (all samples identical and nonzero): zero-width interval.
   if (sd == 0.0) return true;
   const double half_width =
-      t_cache_->Get(n - 1) * sd / std::sqrt(static_cast<double>(n));
+      stats::TCritical(EffectiveAlpha(*options_), n - 1) * sd /
+      std::sqrt(static_cast<double>(n));
   return std::fabs(mean) > half_width;
 }
 
@@ -189,7 +189,8 @@ bool ComparisonSession::IntervalExcludesZeroStein() const {
   if (first_stage_count_ < 2) return false;  // no variance estimate yet
   const double sd = first_stage_sd_;
   if (sd == 0.0) return true;
-  const double t = t_cache_->Get(first_stage_count_ - 1);
+  const double t =
+      stats::TCritical(EffectiveAlpha(*options_), first_stage_count_ - 1);
   const double required = sd * sd * t * t / (half_width * half_width);
   return required <= static_cast<double>(n);
 }
@@ -216,11 +217,9 @@ bool ComparisonSession::IntervalExcludesZeroAnytime() const {
 
 ComparisonOutcome RunComparison(ItemId i, ItemId j,
                                 const ComparisonOptions& options,
-                                stats::TCriticalCache* t_cache,
                                 crowd::CrowdPlatform* platform,
                                 int64_t* workload_out) {
-  CROWDTOPK_DCHECK(t_cache->alpha() == EffectiveAlpha(options));
-  ComparisonSession session(i, j, &options, t_cache);
+  ComparisonSession session(i, j, &options);
   const ComparisonOutcome outcome = session.RunToCompletion(platform);
   if (workload_out != nullptr) *workload_out = session.workload();
   return outcome;

@@ -28,11 +28,11 @@
 #define CROWDTOPK_JUDGMENT_COMPARISON_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "crowd/platform.h"
 #include "crowd/types.h"
 #include "stats/running_stats.h"
-#include "stats/student_t.h"
 
 namespace crowdtopk::judgment {
 
@@ -76,20 +76,18 @@ struct ComparisonOptions {
 };
 
 // The tail probability the critical value must cover: alpha/2 per side for
-// the symmetric interval, alpha per side in one-sided mode. TCriticalCache
-// instances used with these options must be constructed with this value.
+// the symmetric interval, alpha per side in one-sided mode.
 double EffectiveAlpha(const ComparisonOptions& options);
 
 // Resumable state of one COMP(left, right). The session always stores the
 // pair in the orientation it was constructed with; a positive mean favours
-// `left`.
+// `left`. The Student and Stein rules read t_{EffectiveAlpha/2, df} from
+// the process-wide memo (stats::TCritical).
 class ComparisonSession {
  public:
-  // `options` and `t_cache` must outlive the session; `t_cache` must have
-  // been constructed with EffectiveAlpha(*options).
+  // `options` must outlive the session.
   ComparisonSession(ItemId left, ItemId right,
-                    const ComparisonOptions* options,
-                    stats::TCriticalCache* t_cache);
+                    const ComparisonOptions* options);
 
   ItemId left() const { return left_; }
   ItemId right() const { return right_; }
@@ -183,7 +181,6 @@ class ComparisonSession {
   ItemId left_;
   ItemId right_;
   const ComparisonOptions* options_;
-  stats::TCriticalCache* t_cache_;
   stats::RunningStats bag_;
   // Stein's first-stage variance estimate (frozen at the cold start).
   int64_t first_stage_count_ = 0;
@@ -198,7 +195,6 @@ class ComparisonSession {
 // Convenience wrapper: runs a fresh COMP(i, j) to completion.
 ComparisonOutcome RunComparison(ItemId i, ItemId j,
                                 const ComparisonOptions& options,
-                                stats::TCriticalCache* t_cache,
                                 crowd::CrowdPlatform* platform,
                                 int64_t* workload_out = nullptr);
 

@@ -37,7 +37,7 @@ util::StatusOr<ShardBatchResult> LocalShardBackend::RunBatch(
   std::vector<serve::QueryRequest> requests(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const RoutedQuery& q = batch[i];
-    requests[i].algorithm = q.algorithm;
+    requests[i].algorithm = q.algorithm.get();
     requests[i].dataset = q.dataset_ptr;
     requests[i].k = q.k;
     requests[i].cache_universe = q.universe;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "shard/local_backend.h"
@@ -98,26 +97,6 @@ const data::Dataset* RouterEngine::ResolveDatasetLocked(
   return datasets_.emplace(name, std::move(dataset)).first->second.get();
 }
 
-core::TopKAlgorithm* RouterEngine::ResolveAlgorithmLocked(
-    const net::SubmitQuery& spec) {
-  judgment::ComparisonOptions comparison;
-  comparison.alpha = spec.alpha;
-  if (spec.budget > 0) comparison.budget = spec.budget;
-  uint64_t alpha_bits;
-  std::memcpy(&alpha_bits, &comparison.alpha, sizeof(alpha_bits));
-  const std::string key = spec.algo + "|" + std::to_string(alpha_bits) +
-                          "|" + std::to_string(comparison.budget);
-  const auto it = algorithms_.find(key);
-  if (it != algorithms_.end()) return it->second.get();
-  std::unique_ptr<core::TopKAlgorithm> algorithm =
-      algorithm_factory_(spec.algo, comparison);
-  if (algorithm == nullptr) return nullptr;
-  // Shared across every shard's concurrent sub-batches, so the instance
-  // must tolerate concurrent runs.
-  CROWDTOPK_CHECK(algorithm->concurrent_runs_safe());
-  return algorithms_.emplace(key, std::move(algorithm)).first->second.get();
-}
-
 util::StatusOr<int64_t> RouterEngine::Submit(int64_t conn_id,
                                              const net::SubmitQuery& spec) {
   if (spec.k < 1 || spec.k > kMaxK) {
@@ -162,13 +141,15 @@ util::StatusOr<int64_t> RouterEngine::Submit(int64_t conn_id,
           "k exceeds the " + std::to_string(dataset->num_items()) +
           " items of '" + spec.dataset + "'");
     }
-    core::TopKAlgorithm* algorithm = ResolveAlgorithmLocked(spec);
-    if (algorithm == nullptr) {
+    judgment::ComparisonOptions comparison;
+    comparison.alpha = spec.alpha;
+    if (spec.budget > 0) comparison.budget = spec.budget;
+    query.algorithm = algorithm_factory_(spec.algo, comparison);
+    if (query.algorithm == nullptr) {
       return util::Status::InvalidArgument("unknown algorithm '" +
                                            spec.algo + "'");
     }
     query.dataset_ptr = dataset;
-    query.algorithm = algorithm;
   }
   // A client's stamp keys the outcome when present (this router is a
   // remote shard of another); otherwise the wire id does.
@@ -377,6 +358,9 @@ void RouterEngine::RememberDoneLocked(int64_t id,
                                       const RoutedOutcome& outcome) {
   done_ids_.insert(id);
   done_.push_back(Done{id, outcome});
+  // The algorithm instance dies with its query; State() and MergedReport()
+  // never read it.
+  done_.back().outcome.query.algorithm.reset();
   while (done_.size() > kRemembered) {
     done_ids_.erase(done_.front().query_id);
     done_.pop_front();

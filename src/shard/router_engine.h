@@ -14,9 +14,10 @@
 // (shard/report.h) can be byte-diffed across shard counts.
 //
 // Deployment: with `ports` empty the engine spawns `shards` in-process
-// LocalShardBackends (dataset/algorithm instances resolved once, shared
-// by all shards — both are safe for concurrent runs); with `ports` set it
-// dials one RemoteShardBackend per endpoint.
+// LocalShardBackends (each dataset resolved once per name and shared by
+// all shards; each query gets its own algorithm instance at Submit, which
+// dies with the query); with `ports` set it dials one RemoteShardBackend
+// per endpoint.
 
 #ifndef CROWDTOPK_SHARD_ROUTER_ENGINE_H_
 #define CROWDTOPK_SHARD_ROUTER_ENGINE_H_
@@ -104,11 +105,10 @@ class RouterEngine : public net::Engine {
   };
 
   void ThreadMain();
-  // Resolves the shared dataset/algorithm instances and the per-dataset
-  // universe id for an in-process deployment; null on unknown names.
+  // Resolves the shared dataset instance and the per-dataset universe id
+  // for an in-process deployment; null on an unknown name.
   const data::Dataset* ResolveDatasetLocked(const std::string& name,
                                             int64_t* universe);
-  core::TopKAlgorithm* ResolveAlgorithmLocked(const net::SubmitQuery& spec);
   void RememberDoneLocked(int64_t id, const RoutedOutcome& outcome);
 
   const net::ServerOptions options_;
@@ -139,13 +139,12 @@ class RouterEngine : public net::Engine {
   int64_t cached_retries_ = 0;
   int64_t cached_redials_ = 0;
 
-  // In-process resolution state (names -> shared instances); universes
-  // are assigned per distinct dataset name in first-seen order, the same
-  // rule serve::QueryService applies per distinct pointer.
+  // In-process resolution state (names -> shared datasets, kept only for
+  // names the factory knows); universes are assigned per distinct dataset
+  // name in first-seen order, the same rule serve::QueryService applies
+  // per distinct pointer.
   std::unordered_map<std::string, std::unique_ptr<data::Dataset>> datasets_;
   std::unordered_map<std::string, int64_t> universes_;
-  std::unordered_map<std::string, std::unique_ptr<core::TopKAlgorithm>>
-      algorithms_;
 
   std::thread thread_;  // last: joins in the destructor before members die
 };

@@ -374,7 +374,7 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
   judgment::ComparisonOptions comparison;
   comparison.alpha = e.alpha;
   comparison.budget = 500;
-  std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
+  std::vector<std::shared_ptr<core::TopKAlgorithm>> algorithms;
   for (int64_t a = 0; a < e.algorithms; ++a) {
     algorithms.push_back(
         baselines::MakeAlgorithm(kAlgorithmRotation[a % 4], comparison));
@@ -390,7 +390,7 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
     routed.alpha = e.alpha;
     routed.universe = 0;
     routed.dataset_ptr = dataset.get();
-    routed.algorithm = algorithms[static_cast<size_t>(q % e.algorithms)].get();
+    routed.algorithm = algorithms[static_cast<size_t>(q % e.algorithms)];
   }
 
   std::vector<std::unique_ptr<shard::ShardBackend>> backends;

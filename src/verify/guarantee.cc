@@ -10,7 +10,6 @@
 #include "data/gaussian_dataset.h"
 #include "data/generators.h"
 #include "stats/binomial.h"
-#include "stats/student_t.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
 #include "util/check.h"
@@ -133,10 +132,7 @@ GuaranteeReport VerifyComparisonGuarantee(const CompCheckSpec& spec,
       engine, seed,
       [&](int64_t, uint64_t trial_seed) -> std::vector<double> {
         crowd::CrowdPlatform platform(oracle, trial_seed);
-        // Per-trial cache: TCriticalCache grows on demand and is not
-        // thread-safe, so concurrent trials must not share one.
-        stats::TCriticalCache t_cache(judgment::EffectiveAlpha(comparison));
-        judgment::ComparisonSession session(1, 0, &comparison, &t_cache);
+        judgment::ComparisonSession session(1, 0, &comparison);
         const crowd::ComparisonOutcome outcome =
             session.RunToCompletion(&platform);
         return {outcome == crowd::ComparisonOutcome::kRightWins ? 1.0 : 0.0,

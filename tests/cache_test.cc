@@ -309,12 +309,11 @@ class SequenceOracle : public data::Dataset {
 
 TEST(SessionSeedTest, TopUpReproducesColdRunBitForBit) {
   judgment::ComparisonOptions options;
-  stats::TCriticalCache t_cache(judgment::EffectiveAlpha(options));
 
   // Cold reference run: one session from scratch to completion.
   SequenceOracle oracle;
   crowd::CrowdPlatform cold_platform(&oracle, /*seed=*/1);
-  judgment::ComparisonSession cold(0, 1, &options, &t_cache);
+  judgment::ComparisonSession cold(0, 1, &options);
   const ComparisonOutcome cold_outcome = cold.RunToCompletion(&cold_platform);
   const int64_t cold_workload = cold.workload();
   ASSERT_GT(cold_workload, options.min_workload);  // concluded mid-sequence
@@ -322,7 +321,7 @@ TEST(SessionSeedTest, TopUpReproducesColdRunBitForBit) {
   // Donor run: same sequence from the start, but only the cold-start batch.
   oracle.set_position(0);
   crowd::CrowdPlatform donor_platform(&oracle, /*seed=*/2);
-  judgment::ComparisonSession donor(0, 1, &options, &t_cache);
+  judgment::ComparisonSession donor(0, 1, &options);
   donor.Step(&donor_platform, options.batch_size);
   ASSERT_FALSE(donor.Finished());
   const int64_t donated = donor.workload();
@@ -330,7 +329,7 @@ TEST(SessionSeedTest, TopUpReproducesColdRunBitForBit) {
   // Warm run: seed from the donor's summary, then resume the sequence at
   // the donor's position. Must replay the cold run's tail exactly.
   crowd::CrowdPlatform warm_platform(&oracle, /*seed=*/3);
-  judgment::ComparisonSession warm(0, 1, &options, &t_cache);
+  judgment::ComparisonSession warm(0, 1, &options);
   warm.SeedFromCache(donor.workload(), donor.Mean(), donor.M2(),
                      donor.first_stage_count(), donor.first_stage_sd());
   ASSERT_FALSE(warm.Finished());

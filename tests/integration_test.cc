@@ -195,11 +195,10 @@ TEST(OneSidedTest, SavesWorkloadAtSameNominalConfidence) {
     options.one_sided = half;
     options.budget = 1 << 20;
     options.batch_size = 1;
-    stats::TCriticalCache t_cache(judgment::EffectiveAlpha(options));
     crowd::CrowdPlatform platform(&pair, 21);
     int64_t total = 0;
     for (int t = 0; t < 60; ++t) {
-      judgment::ComparisonSession session(1, 0, &options, &t_cache);
+      judgment::ComparisonSession session(1, 0, &options);
       session.RunToCompletion(&platform);
       total += session.workload();
     }
@@ -214,12 +213,11 @@ TEST(OneSidedTest, AccuracyStillMeetsConfidence) {
   options.one_sided = true;
   options.alpha = 0.10;
   options.budget = 1 << 20;
-  stats::TCriticalCache t_cache(judgment::EffectiveAlpha(options));
   crowd::CrowdPlatform platform(&pair, 22);
   int correct = 0;
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
-    judgment::ComparisonSession session(1, 0, &options, &t_cache);
+    judgment::ComparisonSession session(1, 0, &options);
     if (session.RunToCompletion(&platform) ==
         crowd::ComparisonOutcome::kLeftWins) {
       ++correct;

@@ -2,6 +2,7 @@
 // the judgment cache, and graded aggregation.
 
 #include <memory>
+#include <vector>
 
 #include "crowd/platform.h"
 #include "data/gaussian_dataset.h"
@@ -39,8 +40,7 @@ TEST(ComparisonSessionTest, EasyPairResolvesQuicklyAndCorrectly) {
   data::GaussianDataset dataset = EasyPair();
   crowd::CrowdPlatform platform(&dataset, 1);
   ComparisonOptions options = DefaultOptions();
-  stats::TCriticalCache t_cache(options.alpha);
-  ComparisonSession session(1, 0, &options, &t_cache);
+  ComparisonSession session(1, 0, &options);
   const auto outcome = session.RunToCompletion(&platform);
   EXPECT_EQ(outcome, crowd::ComparisonOutcome::kLeftWins);
   // mean/sd = 2 => a handful of batches at most.
@@ -53,8 +53,7 @@ TEST(ComparisonSessionTest, OrientationRespected) {
   data::GaussianDataset dataset = EasyPair();
   crowd::CrowdPlatform platform(&dataset, 2);
   ComparisonOptions options = DefaultOptions();
-  stats::TCriticalCache t_cache(options.alpha);
-  ComparisonSession session(0, 1, &options, &t_cache);  // worse item left
+  ComparisonSession session(0, 1, &options);  // worse item left
   EXPECT_EQ(session.RunToCompletion(&platform),
             crowd::ComparisonOutcome::kRightWins);
   EXPECT_LT(session.Mean(), 0.0);
@@ -65,8 +64,7 @@ TEST(ComparisonSessionTest, HardPairExhaustsBudgetAsTie) {
   crowd::CrowdPlatform platform(&dataset, 3);
   ComparisonOptions options = DefaultOptions();
   options.budget = 300;
-  stats::TCriticalCache t_cache(options.alpha);
-  ComparisonSession session(1, 0, &options, &t_cache);
+  ComparisonSession session(1, 0, &options);
   const auto outcome = session.RunToCompletion(&platform);
   EXPECT_EQ(outcome, crowd::ComparisonOutcome::kTie);
   EXPECT_TRUE(session.BudgetExhausted());
@@ -77,9 +75,8 @@ TEST(ComparisonSessionTest, WorkloadNeverExceedsBudget) {
   data::GaussianDataset dataset = HardPair();
   ComparisonOptions options = DefaultOptions();
   options.budget = 100;  // not a multiple of batch 30
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 4);
-  ComparisonSession session(0, 1, &options, &t_cache);
+  ComparisonSession session(0, 1, &options);
   session.RunToCompletion(&platform);
   EXPECT_EQ(session.workload(), 100);
 }
@@ -88,9 +85,8 @@ TEST(ComparisonSessionTest, FirstStepBuysColdStartWorkload) {
   data::GaussianDataset dataset = EasyPair();
   ComparisonOptions options = DefaultOptions();
   options.min_workload = 40;
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 5);
-  ComparisonSession session(1, 0, &options, &t_cache);
+  ComparisonSession session(1, 0, &options);
   session.Step(&platform, 1);  // asks for 1, must get I = 40
   EXPECT_EQ(session.workload(), 40);
 }
@@ -99,9 +95,8 @@ TEST(ComparisonSessionTest, RoundsMatchBatchCount) {
   data::GaussianDataset dataset = HardPair();
   ComparisonOptions options = DefaultOptions();
   options.budget = 90;
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 6);
-  ComparisonSession session(0, 1, &options, &t_cache);
+  ComparisonSession session(0, 1, &options);
   session.RunToCompletion(&platform);
   // 90 microtasks in batches of 30 = 3 rounds.
   EXPECT_EQ(platform.rounds(), 3);
@@ -114,12 +109,11 @@ TEST(ComparisonSessionTest, DecisionAccuracyMeetsConfidence) {
   ComparisonOptions options = DefaultOptions();
   options.alpha = 0.10;
   options.budget = 1 << 20;  // B = infinity, as in Table 3
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 7);
   int correct = 0;
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
-    ComparisonSession session(1, 0, &options, &t_cache);
+    ComparisonSession session(1, 0, &options);
     const auto outcome = session.RunToCompletion(&platform);
     ASSERT_NE(outcome, crowd::ComparisonOutcome::kTie);
     if (outcome == crowd::ComparisonOutcome::kLeftWins) ++correct;
@@ -136,11 +130,10 @@ TEST(ComparisonSessionTest, HigherConfidenceCostsMoreWorkload) {
     options.alpha = alpha;
     options.budget = 1 << 20;
     options.batch_size = 1;  // fine-grained stopping
-    stats::TCriticalCache t_cache(options.alpha);
     crowd::CrowdPlatform platform(&dataset, 8);
     int64_t total = 0;
     for (int t = 0; t < 50; ++t) {
-      ComparisonSession session(1, 0, &options, &t_cache);
+      ComparisonSession session(1, 0, &options);
       session.RunToCompletion(&platform);
       total += session.workload();
     }
@@ -153,9 +146,8 @@ TEST(ComparisonSessionTest, SteinAgreesWithStudentOnEasyPair) {
   data::GaussianDataset dataset = EasyPair();
   for (Estimator estimator : {Estimator::kStudent, Estimator::kStein}) {
     ComparisonOptions options = DefaultOptions(estimator);
-    stats::TCriticalCache t_cache(options.alpha);
     crowd::CrowdPlatform platform(&dataset, 9);
-    ComparisonSession session(1, 0, &options, &t_cache);
+    ComparisonSession session(1, 0, &options);
     EXPECT_EQ(session.RunToCompletion(&platform),
               crowd::ComparisonOutcome::kLeftWins);
   }
@@ -166,12 +158,11 @@ TEST(ComparisonSessionTest, SteinAccuracyMeetsConfidence) {
   ComparisonOptions options = DefaultOptions(Estimator::kStein);
   options.alpha = 0.10;
   options.budget = 1 << 20;
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 10);
   int correct = 0;
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
-    ComparisonSession session(1, 0, &options, &t_cache);
+    ComparisonSession session(1, 0, &options);
     if (session.RunToCompletion(&platform) ==
         crowd::ComparisonOutcome::kLeftWins) {
       ++correct;
@@ -191,11 +182,10 @@ TEST(ComparisonSessionTest, HoeffdingUsesBinaryVotesAndCostsMore) {
     ComparisonOptions options = DefaultOptions(estimator);
     options.budget = 1 << 22;
     options.batch_size = 1;  // compare pure sample complexities
-    stats::TCriticalCache t_cache(options.alpha);
     crowd::CrowdPlatform platform(&dataset, 11);
     int64_t total = 0;
     for (int t = 0; t < 20; ++t) {
-      ComparisonSession session(1, 0, &options, &t_cache);
+      ComparisonSession session(1, 0, &options);
       session.RunToCompletion(&platform);
       total += session.workload();
     }
@@ -209,9 +199,8 @@ TEST(ComparisonSessionTest, HoeffdingUsesBinaryVotesAndCostsMore) {
 TEST(ComparisonSessionTest, AnytimeEstimatorDecidesEasyPairs) {
   data::GaussianDataset dataset = EasyPair();
   ComparisonOptions options = DefaultOptions(Estimator::kAnytime);
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 30);
-  ComparisonSession session(1, 0, &options, &t_cache);
+  ComparisonSession session(1, 0, &options);
   EXPECT_EQ(session.RunToCompletion(&platform),
             crowd::ComparisonOutcome::kLeftWins);
 }
@@ -224,12 +213,11 @@ TEST(ComparisonSessionTest, AnytimeNeverFalselyDecidesTiedPairInHorizon) {
   options.alpha = 0.05;
   options.budget = 1500;
   options.min_workload = 2;
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&tied, 31);
   int decided = 0;
   const int trials = 100;
   for (int t = 0; t < trials; ++t) {
-    ComparisonSession session(0, 1, &options, &t_cache);
+    ComparisonSession session(0, 1, &options);
     while (!session.Finished()) session.Step(&platform, 64);
     if (session.outcome() != crowd::ComparisonOutcome::kTie) ++decided;
   }
@@ -245,12 +233,11 @@ TEST(ComparisonSessionTest, StudentPeekingExceedsNominalAlphaOnTiedPair) {
   options.alpha = 0.05;
   options.budget = 1500;
   options.min_workload = 2;
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&tied, 32);
   int decided = 0;
   const int trials = 100;
   for (int t = 0; t < trials; ++t) {
-    ComparisonSession session(0, 1, &options, &t_cache);
+    ComparisonSession session(0, 1, &options);
     while (!session.Finished()) session.Step(&platform, 1);
     if (session.outcome() != crowd::ComparisonOutcome::kTie) ++decided;
   }
@@ -261,9 +248,8 @@ TEST(ComparisonSessionTest, DegenerateZeroVarianceDecidesImmediately) {
   // Constant positive preference: sd = 0, must decide at the cold start.
   data::GaussianDataset dataset("const", {0.0, 5.0}, 0.0, 10.0);
   ComparisonOptions options = DefaultOptions();
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 12);
-  ComparisonSession session(1, 0, &options, &t_cache);
+  ComparisonSession session(1, 0, &options);
   EXPECT_EQ(session.RunToCompletion(&platform),
             crowd::ComparisonOutcome::kLeftWins);
   EXPECT_EQ(session.workload(), options.min_workload);
@@ -272,8 +258,7 @@ TEST(ComparisonSessionTest, DegenerateZeroVarianceDecidesImmediately) {
 TEST(ComparisonSessionTest, AddSampleForTestDrivesDecision) {
   ComparisonOptions options = DefaultOptions();
   options.min_workload = 5;
-  stats::TCriticalCache t_cache(options.alpha);
-  ComparisonSession session(0, 1, &options, &t_cache);
+  ComparisonSession session(0, 1, &options);
   for (int i = 0; i < 5 && !session.Finished(); ++i) {
     session.AddSampleForTest(0.5 + 0.001 * i);
   }
@@ -284,11 +269,9 @@ TEST(ComparisonSessionTest, AddSampleForTestDrivesDecision) {
 TEST(RunComparisonTest, ReportsWorkload) {
   data::GaussianDataset dataset = EasyPair();
   ComparisonOptions options = DefaultOptions();
-  stats::TCriticalCache t_cache(options.alpha);
   crowd::CrowdPlatform platform(&dataset, 13);
   int64_t workload = 0;
-  const auto outcome =
-      RunComparison(1, 0, options, &t_cache, &platform, &workload);
+  const auto outcome = RunComparison(1, 0, options, &platform, &workload);
   EXPECT_EQ(outcome, crowd::ComparisonOutcome::kLeftWins);
   EXPECT_EQ(workload, platform.total_microtasks());
 }
@@ -350,6 +333,32 @@ TEST(ComparisonCacheTest, LikelyBetterUsesConfirmedOutcome) {
   cache.Compare(0, 1, &platform);
   EXPECT_TRUE(cache.LikelyBetter(1, 0));
   EXPECT_FALSE(cache.LikelyBetter(0, 1));
+}
+
+// Sessions live in place in the cache's map: a pointer handed out by
+// GetSession must keep pointing at the same, unchanged session after the
+// map has grown through many rehashes.
+TEST(ComparisonCacheTest, SessionPointersSurviveRehash) {
+  ComparisonCache cache(DefaultOptions());
+  std::vector<ComparisonSession*> first;
+  for (ItemId j = 1; j <= 8; ++j) {
+    ComparisonSession* session = cache.GetSession(j, 0);
+    session->AddSampleForTest(0.1 * static_cast<double>(j));
+    first.push_back(session);
+  }
+  for (ItemId i = 1; i < 80; ++i) {
+    for (ItemId j = i + 1; j < 80; ++j) cache.GetSession(i, j);
+  }
+  ASSERT_EQ(cache.num_pairs(), 8 + 79 * 78 / 2);
+  for (ItemId j = 1; j <= 8; ++j) {
+    ComparisonSession* session = first[static_cast<size_t>(j - 1)];
+    EXPECT_EQ(cache.GetSession(0, j), session);
+    EXPECT_EQ(cache.FindSession(j, 0), session);
+    EXPECT_EQ(session->left(), 0);
+    EXPECT_EQ(session->right(), j);
+    EXPECT_EQ(session->workload(), 1);
+    EXPECT_DOUBLE_EQ(session->Mean(), 0.1 * static_cast<double>(j));
+  }
 }
 
 // ------------------------------------------------------------------ Graded

@@ -39,13 +39,12 @@ TEST_P(ComparisonGuarantee, AccuracyAtLeastConfidence) {
   options.min_workload = 30;
   options.batch_size = 30;
   options.estimator = std::get<2>(GetParam());
-  stats::TCriticalCache t_cache(alpha);
   crowd::CrowdPlatform platform(&pair,
                                 17 + static_cast<uint64_t>(effect * 100));
   int correct = 0;
   const int trials = 150;
   for (int t = 0; t < trials; ++t) {
-    judgment::ComparisonSession session(1, 0, &options, &t_cache);
+    judgment::ComparisonSession session(1, 0, &options);
     if (session.RunToCompletion(&platform) ==
         crowd::ComparisonOutcome::kLeftWins) {
       ++correct;
@@ -90,7 +89,6 @@ TEST_P(FaultyComparisonGuarantee, DegradesGracefullyUnderSpammers) {
   options.budget = 1 << 20;
   options.min_workload = 30;
   options.batch_size = 30;
-  stats::TCriticalCache t_cache(alpha);
 
   const int trials = 120;
   const auto accuracy_and_workload = [&](const crowd::JudgmentOracle* oracle,
@@ -99,7 +97,7 @@ TEST_P(FaultyComparisonGuarantee, DegradesGracefullyUnderSpammers) {
     int correct = 0;
     double workload = 0.0;
     for (int t = 0; t < trials; ++t) {
-      judgment::ComparisonSession session(1, 0, &options, &t_cache);
+      judgment::ComparisonSession session(1, 0, &options);
       const crowd::ComparisonOutcome outcome =
           session.RunToCompletion(&platform);
       // Graceful degradation, part 1: every session still terminates and
@@ -138,14 +136,13 @@ TEST(WorkloadScalingTest, HarderPairsCostMore) {
   options.alpha = 0.05;
   options.budget = 1 << 20;
   options.batch_size = 1;
-  stats::TCriticalCache t_cache(options.alpha);
   double previous = 0.0;
   for (double effect : {2.0, 1.0, 0.5, 0.25}) {
     data::GaussianDataset pair("pair", {0.0, 1.0}, 1.0 / effect, 10.0);
     crowd::CrowdPlatform platform(&pair, 23);
     double total = 0.0;
     for (int t = 0; t < 40; ++t) {
-      judgment::ComparisonSession session(1, 0, &options, &t_cache);
+      judgment::ComparisonSession session(1, 0, &options);
       session.RunToCompletion(&platform);
       total += static_cast<double>(session.workload());
     }
@@ -162,14 +159,13 @@ TEST(WorkloadScalingTest, InverseSquareLaw) {
   options.budget = 1 << 22;
   options.min_workload = 5;  // lower the floor to expose the law
   options.batch_size = 1;
-  stats::TCriticalCache t_cache(options.alpha);
   auto mean_workload = [&](double effect, uint64_t seed) {
     data::GaussianDataset pair("pair", {0.0, 1.0}, 1.0 / effect, 10.0);
     crowd::CrowdPlatform platform(&pair, seed);
     double total = 0.0;
     const int trials = 60;
     for (int t = 0; t < trials; ++t) {
-      judgment::ComparisonSession session(1, 0, &options, &t_cache);
+      judgment::ComparisonSession session(1, 0, &options);
       session.RunToCompletion(&platform);
       total += static_cast<double>(session.workload());
     }
@@ -250,10 +246,9 @@ TEST(EstimatorAgreementTest, SteinWithinTwoXOfStudent) {
   double workloads[2] = {0.0, 0.0};
   int index = 0;
   for (const auto* options : {&student, &stein}) {
-    stats::TCriticalCache t_cache(options->alpha);
     crowd::CrowdPlatform platform(&pair, 77);
     for (int t = 0; t < 50; ++t) {
-      judgment::ComparisonSession session(1, 0, options, &t_cache);
+      judgment::ComparisonSession session(1, 0, options);
       session.RunToCompletion(&platform);
       workloads[index] += static_cast<double>(session.workload());
     }

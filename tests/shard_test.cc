@@ -5,9 +5,10 @@
 // alpha gate and replace semantics, agreement between a 1-shard router and
 // a plain serve::QueryService fed the same stamped seed streams, a
 // long-lived local shard against a fresh service per batch, and the router
-// engine's bounded memory of finished queries.
+// engine's bounded memory of finished queries and algorithm instances.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
@@ -34,20 +35,20 @@ namespace {
 
 constexpr uint64_t kSeed = 20170514;
 
-// A small two-algorithm workload every router test shares. Algorithms are
-// owned here; RoutedQuery carries raw pointers like the router engine does.
+// A small two-algorithm workload every router test shares. The dataset is
+// owned here; every query of a trace shares one of two algorithm instances.
 struct Workload {
   std::unique_ptr<data::Dataset> dataset;
-  std::unique_ptr<baselines::HeapSortTopK> heap;
-  std::unique_ptr<baselines::QuickSelectTopK> quick;
+  std::shared_ptr<core::TopKAlgorithm> heap;
+  std::shared_ptr<core::TopKAlgorithm> quick;
 
   explicit Workload(double alpha = 0.05) {
     dataset = data::MakeUniformLadder(10, 1.0, 1.0);
     judgment::ComparisonOptions comparison;
     comparison.alpha = alpha;
     comparison.budget = 500;
-    heap = std::make_unique<baselines::HeapSortTopK>(comparison);
-    quick = std::make_unique<baselines::QuickSelectTopK>(comparison);
+    heap = std::make_shared<baselines::HeapSortTopK>(comparison);
+    quick = std::make_shared<baselines::QuickSelectTopK>(comparison);
   }
 
   std::vector<RoutedQuery> Trace(int64_t queries, double alpha = 0.05) const {
@@ -61,9 +62,7 @@ struct Workload {
       routed.alpha = alpha;
       routed.universe = 0;
       routed.dataset_ptr = dataset.get();
-      routed.algorithm = q % 2 == 0
-                             ? static_cast<core::TopKAlgorithm*>(heap.get())
-                             : static_cast<core::TopKAlgorithm*>(quick.get());
+      routed.algorithm = q % 2 == 0 ? heap : quick;
     }
     return trace;
   }
@@ -424,7 +423,7 @@ TEST(LocalShardBackendTest, OneServiceMatchesAFreshServicePerBatch) {
     fresh.RestoreCache(warm);
     std::vector<serve::QueryRequest> requests(batches[b].size());
     for (size_t i = 0; i < requests.size(); ++i) {
-      requests[i].algorithm = batches[b][i].algorithm;
+      requests[i].algorithm = batches[b][i].algorithm.get();
       requests[i].dataset = batches[b][i].dataset_ptr;
       requests[i].k = batches[b][i].k;
       requests[i].cache_universe = batches[b][i].universe;
@@ -478,7 +477,7 @@ TEST(ShardRouterTest, SingleShardMatchesPlainQueryService) {
   serve_options.seed = kSeed;
   std::vector<serve::QueryRequest> requests(trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    requests[i].algorithm = trace[i].algorithm;
+    requests[i].algorithm = trace[i].algorithm.get();
     requests[i].dataset = trace[i].dataset_ptr;
     requests[i].k = trace[i].k;
     requests[i].cache_universe = trace[i].universe;
@@ -541,6 +540,71 @@ TEST(RouterEngineTest, RemembersOnlyTheLast4096Queries) {
   EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 4096 + 1);
   EXPECT_EQ(table.substr(table.rfind('\n', table.size() - 2) + 1, 8),
             "1000000,");
+}
+
+// HeapSort that counts its live instances.
+class CountedHeapSort : public baselines::HeapSortTopK {
+ public:
+  CountedHeapSort(const judgment::ComparisonOptions& options,
+                  std::atomic<int64_t>* live)
+      : HeapSortTopK(options), live_(live) {
+    live_->fetch_add(1);
+  }
+  ~CountedHeapSort() override { live_->fetch_sub(1); }
+
+ private:
+  std::atomic<int64_t>* live_;
+};
+
+// Alpha and budget come from clients, so an instance per distinct
+// (algorithm, alpha, budget) kept forever would grow without bound. Each
+// query's instance must die with it: once a later batch has completed, at
+// most that batch's instance may still be held.
+TEST(RouterEngineTest, KeepsNoAlgorithmPastItsQuery) {
+  std::atomic<int64_t> live{0};
+  {
+    net::ServerOptions options;
+    options.seed = kSeed;
+    options.max_queue = -1;
+    options.dataset_factory = [](const std::string&, uint64_t) {
+      return std::unique_ptr<data::Dataset>(
+          data::MakeUniformLadder(3, 2.0, 0.5));
+    };
+    options.algorithm_factory =
+        [&live](const std::string&,
+                const judgment::ComparisonOptions& comparison)
+        -> std::unique_ptr<core::TopKAlgorithm> {
+      return std::make_unique<CountedHeapSort>(comparison, &live);
+    };
+    RouterEngine engine(options, RouterEngineConfig(), [] {});
+
+    net::SubmitQuery spec;
+    spec.dataset = "ladder";
+    spec.k = 1;
+    spec.algo = "heapsort";
+    const auto run = [&engine, &spec](int64_t queries, double first_alpha) {
+      for (int64_t q = 0; q < queries; ++q) {
+        spec.alpha = first_alpha + 0.001 * static_cast<double>(q);
+        ASSERT_TRUE(engine.Submit(/*conn_id=*/0, spec).ok());
+      }
+      int64_t completed = 0;
+      while (completed < queries) {
+        const std::vector<net::Completion> taken = engine.TakeCompletions();
+        if (taken.empty()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        for (const net::Completion& c : taken) {
+          EXPECT_FALSE(c.send_error);
+          EXPECT_EQ(c.result.status_code, 0u);
+        }
+        completed += static_cast<int64_t>(taken.size());
+      }
+    };
+    run(32, 0.01);
+    run(1, 0.2);
+    EXPECT_LE(live.load(), 1);
+  }
+  EXPECT_EQ(live.load(), 0);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Tests for the statistical substrate: special functions, normal and
 // Student-t distributions, binomial tails, Hoeffding bounds, Welford stats.
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "stats/anytime.h"
@@ -174,19 +179,70 @@ TEST(StudentTTest, CriticalDecreasesWithDf) {
   }
 }
 
-TEST(TCriticalCacheTest, MatchesDirectComputation) {
-  TCriticalCache cache(0.02);
+TEST(TCriticalTest, MatchesDirectComputation) {
   for (int64_t df : {1, 2, 29, 30, 999, 5000}) {
-    EXPECT_DOUBLE_EQ(cache.Get(df),
+    EXPECT_DOUBLE_EQ(TCritical(0.02, df),
                      StudentTCritical(0.02, static_cast<double>(df)));
   }
-  // Second lookup hits the cache and must agree.
-  EXPECT_DOUBLE_EQ(cache.Get(29), StudentTCritical(0.02, 29.0));
+  // Second lookup hits the memo and must agree.
+  EXPECT_DOUBLE_EQ(TCritical(0.02, 29), StudentTCritical(0.02, 29.0));
 }
 
-TEST(TCriticalCacheTest, HugeDfFallsBackToNormal) {
-  TCriticalCache cache(0.05);
-  EXPECT_NEAR(cache.Get(int64_t{1} << 21), NormalQuantile(0.975), 1e-12);
+TEST(TCriticalTest, HugeDfFallsBackToNormal) {
+  EXPECT_NEAR(TCritical(0.05, int64_t{1} << 21), NormalQuantile(0.975), 1e-12);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Eight threads fill and read the one process-wide memo, each visiting
+// four alphas and df 1..2000 in its own order; every value must equal the
+// direct computation bit for bit.
+TEST(TCriticalTest, ConcurrentLookupsMatchDirectComputation) {
+  constexpr int kThreads = 8;
+  constexpr int64_t kMaxDf = 2000;
+  // Alphas no other test uses, so the threads race on cold tables.
+  constexpr double kAlphas[] = {0.0173, 0.0311, 0.0587, 0.1129};
+  std::vector<std::vector<uint64_t>> expected(4);
+  for (int a = 0; a < 4; ++a) {
+    for (int64_t df = 1; df <= kMaxDf; ++df) {
+      expected[a].push_back(
+          Bits(StudentTCritical(kAlphas[a], static_cast<double>(df))));
+    }
+  }
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &expected, &kAlphas, &mismatches] {
+      for (int64_t s = 0; s < 4 * kMaxDf; ++s) {
+        // Even threads walk one alpha's table upward at a time, odd ones
+        // sweep df downward across all four alphas; the start rotates.
+        const int a = t % 2 == 0 ? static_cast<int>((s / kMaxDf + t) % 4)
+                                 : static_cast<int>((s + t) % 4);
+        const int64_t df = t % 2 == 0 ? s % kMaxDf + 1 : kMaxDf - s / 4;
+        if (Bits(TCritical(kAlphas[a], df)) !=
+            expected[a][static_cast<size_t>(df - 1)]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// The memo holds at most 64 alphas and empties itself when another one
+// arrives; values looked up on either side of that reset stay exact.
+TEST(TCriticalTest, SeventyAlphasStayExactPastTheTableBound) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int a = 0; a < 70; ++a) {
+      const double alpha = 0.0007 + 0.0113 * a;
+      for (int64_t df : {1, 7, 30, 500}) {
+        EXPECT_EQ(Bits(TCritical(alpha, df)),
+                  Bits(StudentTCritical(alpha, static_cast<double>(df))))
+            << "alpha=" << alpha << " df=" << df;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ Binomial

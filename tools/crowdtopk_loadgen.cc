@@ -66,8 +66,8 @@ Output knobs
   CROWDTOPK_LOADGEN_REPORT  also write the report to this path (default "")
 
 Exit codes: 0 all queries reached a terminal outcome, 1 transport failure,
-unknown argument, missing CROWDTOPK_NET_PORT or nothing to do, 2 knob out
-of range (CROWDTOPK_LOADGEN_RATE <= 0).
+2 bad argument or knob (unknown argument, missing CROWDTOPK_NET_PORT,
+nothing to do, CROWDTOPK_LOADGEN_RATE <= 0).
 )";
 
 void Appendf(std::string* out, const char* fmt, ...) {
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::fprintf(stderr, "unknown argument %s (try --help)\n", argv[i]);
-    return 1;
+    return 2;
   }
 
   net::ClientOptions client_options;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
                  "crowdtopk_loadgen: CROWDTOPK_NET_PORT must be the server's "
                  "bound port (the server binds an ephemeral port by default "
                  "and prints 'listening on 127.0.0.1:<port>')\n");
-    return 1;
+    return 2;
   }
 
   const int64_t queries = util::GetEnvInt64("CROWDTOPK_LOADGEN_QUERIES", 24);
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   if (queries <= 0 || algos.empty()) {
     std::fprintf(stderr, "nothing to do (queries=%lld, %zu algos)\n",
                  static_cast<long long>(queries), algos.size());
-    return 1;
+    return 2;
   }
   // Written so that a NaN fails it too.
   if (!(rate > 0.0)) {

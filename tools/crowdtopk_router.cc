@@ -72,7 +72,8 @@ Engine knobs (per shard; same meaning as crowdtopk_serve)
                             per-shard judgment cache (cache-sync gossips
                             committed entries between shards)
   CROWDTOPK_SEED            master seed                (default 20170514)
-  CROWDTOPK_JOBS            wave-simulation threads, 0 = hw   (default 1)
+  CROWDTOPK_JOBS            wave-simulation threads; unset or 0 = one
+                            per hardware thread, 1 = serial  (default 0)
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  net/* and shard/* counters
                             (net_server.trace.jsonl,
                              shard_router.trace.jsonl on exit)

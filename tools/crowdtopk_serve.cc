@@ -94,7 +94,8 @@ Output knobs
   CROWDTOPK_SERVE_REPORT    path for the machine-readable JSONL report
                             (summary + per-query records); empty = none
   CROWDTOPK_SEED            master seed                (default 20170514)
-  CROWDTOPK_JOBS            wave-simulation threads, 0 = hw   (default 1)
+  CROWDTOPK_JOBS            wave-simulation threads; unset or 0 = one
+                            per hardware thread, 1 = serial  (default 0)
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  per-query telemetry traces
                             (docs/OBSERVABILITY.md)
 
