@@ -2,6 +2,9 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -668,7 +671,16 @@ class Server::Impl {
 Server::Server(const ServerOptions& options)
     : impl_(std::make_unique<Impl>(options)) {}
 
-Server::~Server() = default;
+Server::~Server() {
+  impl_.reset();
+#ifdef __GLIBC__
+  // The engine's driver and shard threads have exited, and glibc keeps what
+  // they freed in their arenas. Return it to the OS, so a process that runs
+  // servers one after another does not keep every arena at the largest size
+  // any earlier server grew it to.
+  malloc_trim(0);
+#endif
+}
 
 util::Status Server::Start() { return impl_->Start(&port_); }
 

@@ -11,6 +11,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -603,6 +604,46 @@ TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
     }
     EXPECT_EQ(rendered[0], rendered[1]);
     EXPECT_EQ(tables[0], tables[1]);
+  }
+}
+
+// Clients choose alpha, and the process-wide t-critical memo holds 64
+// alphas. Eighty queries with eighty alphas in flight at once keep emptying
+// it while other drivers read and fill it; each query must still get what
+// it gets when it runs alone. The ladder is tight enough that comparisons
+// run past the minimum workload, so every purchase reads the memo.
+TEST(QueryServiceTest, EightyAlphasInFlightMatchOneAtATime) {
+  constexpr int64_t kQueries = 80;
+  const auto dataset = data::MakeUniformLadder(16, 0.25, 1.0);
+  std::vector<std::unique_ptr<baselines::HeapSortTopK>> algorithms;
+  std::vector<QueryRequest> requests(kQueries);
+  for (int64_t q = 0; q < kQueries; ++q) {
+    judgment::ComparisonOptions comparison;
+    comparison.alpha = 0.01 + 0.001 * static_cast<double>(q);
+    algorithms.push_back(
+        std::make_unique<baselines::HeapSortTopK>(comparison));
+    requests[q].algorithm = algorithms.back().get();
+    requests[q].dataset = dataset.get();
+    requests[q].k = 4;
+  }
+  std::vector<QueryOutcome> outcomes[2];
+  const int64_t inflight[] = {1, kQueries};
+  for (int v = 0; v < 2; ++v) {
+    ServeOptions options;
+    options.schedule = ReliableCrowd();
+    options.max_inflight = inflight[v];
+    options.seed = 77;
+    QueryService service(options);
+    outcomes[v] =
+        service.Replay(requests, std::vector<double>(kQueries, 0.0));
+  }
+  for (int64_t q = 0; q < kQueries; ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_TRUE(outcomes[1][q].status.ok());
+    EXPECT_EQ(outcomes[1][q].items, outcomes[0][q].items);
+    EXPECT_EQ(outcomes[1][q].total_microtasks,
+              outcomes[0][q].total_microtasks);
+    EXPECT_EQ(outcomes[1][q].rounds_private, outcomes[0][q].rounds_private);
   }
 }
 
