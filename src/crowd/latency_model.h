@@ -1,12 +1,16 @@
-// LatencyModel: an optional observer that converts the platform's abstract
-// cost/latency events into a richer model (e.g. wall-clock marketplace
-// simulation, crowd/simulator.h). The platform reports every purchase and
-// every batch-round boundary; the model decides what they mean in seconds.
+// LatencyModel: the one hook on the crowd platform (crowd/platform.h),
+// which hands it every purchase and every batch of round boundaries last,
+// after drawing the judgments and metering them. The wall-clock marketplace
+// (crowd/simulator.h) turns them into seconds; a served query's
+// serve::BatchScheduler::Query stages the purchases on the shared crowd and
+// parks the driver until the rounds have run.
 
 #ifndef CROWDTOPK_CROWD_LATENCY_MODEL_H_
 #define CROWDTOPK_CROWD_LATENCY_MODEL_H_
 
 #include <cstdint>
+
+#include "crowd/types.h"
 
 namespace crowdtopk::crowd {
 
@@ -14,13 +18,14 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  // `count` microtasks were just purchased (they belong to the current,
-  // still-open batch round).
-  virtual void OnPurchase(int64_t count) = 0;
+  // `count` > 0 microtasks for the pair (i, j) were just purchased (j = -1
+  // for graded tasks of item i); they belong to the current, still-open
+  // batch round.
+  virtual void OnPurchase(ItemId i, ItemId j, int64_t count) = 0;
 
-  // The current batch round closed: everything purchased since the last
-  // boundary ran in parallel.
-  virtual void OnRoundBoundary() = 0;
+  // `n` > 0 batch rounds closed at once: everything purchased since the
+  // last boundary ran in parallel in the first of them.
+  virtual void OnRounds(int64_t n) = 0;
 };
 
 }  // namespace crowdtopk::crowd

@@ -16,14 +16,7 @@ void CrowdPlatform::CollectPreferences(ItemId i, ItemId j, int64_t count,
   for (int64_t t = 0; t < count; ++t) {
     out->push_back(oracle_->PreferenceJudgment(i, j, &rng_));
   }
-  total_microtasks_ += count;
-  if (latency_model_ != nullptr && count > 0) {
-    latency_model_->OnPurchase(count);
-  }
-  if (recorder_ != nullptr && count > 0) {
-    recorder_->RecordPurchase(telemetry::PurchaseKind::kPreference, i, j,
-                              count);
-  }
+  Meter(telemetry::PurchaseKind::kPreference, i, j, count);
 }
 
 void CrowdPlatform::CollectBinaryVotes(ItemId i, ItemId j, int64_t count,
@@ -33,13 +26,7 @@ void CrowdPlatform::CollectBinaryVotes(ItemId i, ItemId j, int64_t count,
   for (int64_t t = 0; t < count; ++t) {
     out->push_back(oracle_->BinaryJudgment(i, j, &rng_));
   }
-  total_microtasks_ += count;
-  if (latency_model_ != nullptr && count > 0) {
-    latency_model_->OnPurchase(count);
-  }
-  if (recorder_ != nullptr && count > 0) {
-    recorder_->RecordPurchase(telemetry::PurchaseKind::kBinary, i, j, count);
-  }
+  Meter(telemetry::PurchaseKind::kBinary, i, j, count);
 }
 
 void CrowdPlatform::CollectGrades(ItemId i, int64_t count,
@@ -48,28 +35,24 @@ void CrowdPlatform::CollectGrades(ItemId i, int64_t count,
   for (int64_t t = 0; t < count; ++t) {
     out->push_back(oracle_->GradedJudgment(i, &rng_));
   }
-  total_microtasks_ += count;
-  if (latency_model_ != nullptr && count > 0) {
-    latency_model_->OnPurchase(count);
-  }
-  if (recorder_ != nullptr && count > 0) {
-    recorder_->RecordPurchase(telemetry::PurchaseKind::kGraded, i,
-                              /*item_j=*/-1, count);
-  }
+  Meter(telemetry::PurchaseKind::kGraded, i, /*j=*/-1, count);
 }
 
-void CrowdPlatform::NextRound() {
-  ++rounds_;
-  if (latency_model_ != nullptr) latency_model_->OnRoundBoundary();
-  if (recorder_ != nullptr) recorder_->RecordRounds(1);
+void CrowdPlatform::Meter(telemetry::PurchaseKind kind, ItemId i, ItemId j,
+                          int64_t count) {
+  total_microtasks_ += count;
+  if (count == 0) return;
+  if (recorder_ != nullptr) recorder_->RecordPurchase(kind, i, j, count);
+  if (latency_model_ != nullptr) latency_model_->OnPurchase(i, j, count);
 }
 
 void CrowdPlatform::AccountRounds(int64_t n) {
+  CROWDTOPK_CHECK_GE(n, 0);
   rounds_ += n;
-  if (latency_model_ != nullptr) {
-    for (int64_t r = 0; r < n; ++r) latency_model_->OnRoundBoundary();
-  }
-  if (recorder_ != nullptr && n > 0) recorder_->RecordRounds(n);
+  if (n == 0) return;
+  if (recorder_ != nullptr) recorder_->RecordRounds(n);
+  // Last: a served query's driver parks here until the rounds have run.
+  if (latency_model_ != nullptr) latency_model_->OnRounds(n);
 }
 
 void CrowdPlatform::ResetCounters() {

@@ -6,11 +6,12 @@
 // comparisons may advance in parallel by up to eta microtasks each; the
 // algorithm driving the platform marks round boundaries with NextRound().
 //
-// For per-phase cost/latency attribution a telemetry::TraceRecorder can be
-// attached (SetRecorder): the platform then emits one structured event per
-// purchase and per round boundary, and algorithm layers delimit their phases
-// through telemetry::PhaseScope(platform->recorder(), ...). See
-// docs/OBSERVABILITY.md.
+// Each purchase and each batch of round boundaries is metered in one step:
+// the counters, then the telemetry::TraceRecorder (SetRecorder; algorithm
+// layers delimit phases with telemetry::PhaseScope(platform->recorder(),
+// ...), docs/OBSERVABILITY.md), then the LatencyModel (SetLatencyModel),
+// the platform's only hook: the wall-clock marketplace, or a served query's
+// serve::BatchScheduler::Query record, which parks the driver at rounds.
 
 #ifndef CROWDTOPK_CROWD_PLATFORM_H_
 #define CROWDTOPK_CROWD_PLATFORM_H_
@@ -30,12 +31,6 @@ class CacheClient;  // src/cache — attached opaquely, see SetCacheClient
 
 namespace crowdtopk::crowd {
 
-// The purchase and round-boundary methods are virtual so that a serving
-// layer can interpose on the metering point without touching any algorithm:
-// serve::AsyncPlatform (src/serve) derives from CrowdPlatform, delegates
-// judgment sampling and accounting to this base class, and additionally
-// parks the calling query at round boundaries while a shared BatchScheduler
-// multiplexes the microtasks of all in-flight queries.
 class CrowdPlatform {
  public:
   // `oracle` must outlive the platform. `seed` drives all judgment sampling.
@@ -44,35 +39,33 @@ class CrowdPlatform {
   CrowdPlatform(const CrowdPlatform&) = delete;
   CrowdPlatform& operator=(const CrowdPlatform&) = delete;
 
-  virtual ~CrowdPlatform() = default;
-
   const JudgmentOracle& oracle() const { return *oracle_; }
   int64_t num_items() const { return oracle_->num_items(); }
 
   // Buys `count` preference judgments for the pair (i, j), appending them to
   // *out. Each judgment costs one microtask.
-  virtual void CollectPreferences(ItemId i, ItemId j, int64_t count,
-                                  std::vector<double>* out);
+  void CollectPreferences(ItemId i, ItemId j, int64_t count,
+                          std::vector<double>* out);
 
   // Buys `count` binary judgments in {-1, +1}.
-  virtual void CollectBinaryVotes(ItemId i, ItemId j, int64_t count,
-                                  std::vector<double>* out);
+  void CollectBinaryVotes(ItemId i, ItemId j, int64_t count,
+                          std::vector<double>* out);
 
   // Buys `count` graded judgments of item i in [0, 1].
-  virtual void CollectGrades(ItemId i, int64_t count,
-                             std::vector<double>* out);
+  void CollectGrades(ItemId i, int64_t count, std::vector<double>* out);
 
   // Marks the end of one batch round: everything purchased since the last
   // call is considered to have been outsourced in parallel.
-  virtual void NextRound();
+  void NextRound() { AccountRounds(1); }
 
-  // Accounts `n` additional rounds at once (for sequential sub-phases whose
-  // round count is known in closed form).
-  virtual void AccountRounds(int64_t n);
+  // Accounts `n` >= 0 additional rounds at once (for sequential sub-phases
+  // whose round count is known in closed form); 0 reports nothing.
+  void AccountRounds(int64_t n);
 
-  // Attaches an observer translating purchases/rounds into a richer latency
-  // model (e.g. the wall-clock marketplace simulator). May be nullptr to
-  // detach; must outlive the platform while attached.
+  // Attaches the latency model receiving every purchase and round batch
+  // (the wall-clock marketplace simulator, or a served query's scheduler
+  // record). May be nullptr to detach; must outlive the platform while
+  // attached.
   void SetLatencyModel(LatencyModel* model) { latency_model_ = model; }
 
   // Attaches a telemetry recorder receiving one event per purchase and per
@@ -104,6 +97,10 @@ class CrowdPlatform {
   util::Rng* rng() { return &rng_; }
 
  private:
+  // Charges `count` microtasks just drawn for (i, j) to the counter, the
+  // recorder and the model, in that order.
+  void Meter(telemetry::PurchaseKind kind, ItemId i, ItemId j, int64_t count);
+
   const JudgmentOracle* oracle_;
   util::Rng rng_;
   LatencyModel* latency_model_ = nullptr;

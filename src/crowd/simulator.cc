@@ -19,7 +19,8 @@ WallClockSimulator::WallClockSimulator(SimulatorOptions options,
                   0.5 * options.task_time_sigma * options.task_time_sigma;
 }
 
-void WallClockSimulator::OnPurchase(int64_t count) {
+void WallClockSimulator::OnPurchase(ItemId /*i*/, ItemId /*j*/,
+                                    int64_t count) {
   CROWDTOPK_CHECK_GE(count, 0);
   pending_tasks_ += count;
   total_microtasks_ += count;
@@ -27,7 +28,8 @@ void WallClockSimulator::OnPurchase(int64_t count) {
       static_cast<double>(count) * options_.cost_per_task_usd;
 }
 
-void WallClockSimulator::OnRoundBoundary() {
+void WallClockSimulator::OnRounds(int64_t n) {
+  CROWDTOPK_CHECK_GE(n, 1);
   if (pending_tasks_ == 0) return;  // an empty round costs no time
   // Discrete-event wave: every worker slot is free at round start; each
   // task goes to the earliest-free slot after an exponential pickup delay;

@@ -44,8 +44,10 @@ class WallClockSimulator : public LatencyModel {
   WallClockSimulator(SimulatorOptions options, uint64_t seed);
 
   // LatencyModel:
-  void OnPurchase(int64_t count) override;
-  void OnRoundBoundary() override;
+  void OnPurchase(ItemId i, ItemId j, int64_t count) override;
+  // The first of the n rounds works off the pending tasks; the rest are
+  // empty and cost no time.
+  void OnRounds(int64_t n) override;
 
   // Simulated elapsed time so far (rounds completed).
   double now_seconds() const { return now_seconds_; }

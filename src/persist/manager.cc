@@ -6,6 +6,7 @@
 #include <cstring>
 #include <utility>
 
+#include "util/check.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
 
@@ -42,10 +43,11 @@ PersistenceManager::PersistenceManager(const PersistOptions& options,
                                        uint64_t config_fingerprint)
     : options_(options),
       config_fingerprint_(config_fingerprint),
-      digest_(util::kFnv1a64Init) {}
+      digest_(util::kFnv1a64Init) {
+  CROWDTOPK_CHECK(!options_.dir.empty());
+}
 
 util::Status PersistenceManager::Open() {
-  if (!enabled()) return util::Status::Ok();
   CROWDTOPK_RETURN_IF_ERROR(util::EnsureDirectory(options_.dir));
 
   WalWriterOptions writer_options;
@@ -108,7 +110,7 @@ util::Status PersistenceManager::Open() {
 }
 
 void PersistenceManager::OnEvent(const std::string& payload) {
-  if (enabled()) digest_ = util::Fnv1a64(payload, digest_);
+  digest_ = util::Fnv1a64(payload, digest_);
 }
 
 void PersistenceManager::VerifyCatchup(const BarrierRecord& derived,
@@ -159,7 +161,6 @@ util::Status PersistenceManager::OnBarrier(int64_t round, double now_seconds,
                                            int64_t next_arrival, int64_t done,
                                            int64_t cache_pairs,
                                            const CacheImageSource& source) {
-  if (!enabled()) return util::Status::Ok();
   const int64_t seq = next_barrier_++;
   BarrierRecord record;
   record.barrier = seq;
@@ -253,7 +254,7 @@ util::Status PersistenceManager::Prune() {
 }
 
 util::Status PersistenceManager::Finalize(const CacheImageSource& source) {
-  if (!enabled() || halted_ || !sealed_any_) return util::Status::Ok();
+  if (halted_ || !sealed_any_) return util::Status::Ok();
   if (last_barrier_.barrier <= counters_.durable_barrier &&
       recovered_ != nullptr && recovered_->has_snapshot &&
       recovered_->snapshot.complete) {

@@ -23,8 +23,7 @@
 //
 // The manager is driven from the service thread only (OnEvent between
 // barriers, OnBarrier at each quiescence point); it has no locking of its
-// own. A manager with an empty `dir` is inert: every call is a cheap
-// no-op, so callers need no persistence-enabled branches.
+// own. A caller without a persist directory builds no manager.
 
 #ifndef CROWDTOPK_PERSIST_MANAGER_H_
 #define CROWDTOPK_PERSIST_MANAGER_H_
@@ -44,7 +43,8 @@
 namespace crowdtopk::persist {
 
 struct PersistOptions {
-  // Persist directory; empty disables the subsystem entirely.
+  // Persist directory; empty turns persistence off (QueryService then
+  // builds no manager).
   std::string dir;
   // Minimum barriers between periodic snapshots. A barrier this far past
   // the last snapshot takes one only if the generation has none yet or the
@@ -100,6 +100,7 @@ class PersistenceManager {
   // other SnapshotData field.
   using CacheImageSource = std::function<std::vector<cache::ExportedEntry>()>;
 
+  // `options.dir` must not be empty.
   PersistenceManager(const PersistOptions& options,
                      uint64_t config_fingerprint);
 
@@ -111,7 +112,6 @@ class PersistenceManager {
   // mismatch; the caller decides whether to run without persistence.
   util::Status Open();
 
-  bool enabled() const { return !options_.dir.empty(); }
   // True while re-executing barriers that are already durable.
   bool in_catchup() const {
     return next_barrier_ <= counters_.durable_barrier;

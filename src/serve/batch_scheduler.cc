@@ -98,8 +98,8 @@ void BatchScheduler::AdvanceTimeTo(double seconds) {
   now_seconds_ = std::max(now_seconds_, seconds);
 }
 
-void BatchScheduler::Query::PostPurchase(crowd::ItemId i, crowd::ItemId j,
-                                         int64_t count) {
+void BatchScheduler::Query::OnPurchase(crowd::ItemId i, crowd::ItemId j,
+                                       int64_t count) {
   if (count <= 0) return;
   CROWDTOPK_CHECK(!finished_);
   TaskRun run;
@@ -123,8 +123,9 @@ void BatchScheduler::Query::Barrier(int64_t rounds) {
 
 void BatchScheduler::Query::Finish() {
   CROWDTOPK_CHECK(!finished_);
-  // Drivers drain before finishing (AsyncPlatform::Drain), so no pending
-  // work of this query can be left behind to stall the tracker.
+  // Drivers drain before finishing (Barrier(0) in QueryService::DriverMain),
+  // so no pending work of this query can be left behind to stall the
+  // tracker.
   CROWDTOPK_CHECK_GE(resolved_, posted_);
   finished_ = true;
   scheduler_->DriverStopped();

@@ -4,18 +4,21 @@
 // batch round, every undecided pair advances by up to eta microtasks in
 // parallel (Section 5.5). The serving layer generalises this to many
 // queries competing for one crowd of W worker slots per round. Each query
-// driver thread owns the Query record AdmitQuery returned for it: it stages
-// purchases there (PostPurchase: one run of `count` microtasks of one pair)
-// and parks on the record's semaphore at round boundaries (Barrier). The
-// QueryService thread writes everything else, and only while no driver
-// runs: it waits until the running-driver count reaches zero (quiescence),
-// moves the staged runs into the AssignmentTracker in query-id order, and
-// executes one *global* round: it draws a wave of at most W microtasks, as
-// runs, from the tracker (eta per pair, round-robin across queries),
-// simulates each microtask's pickup/work latency and abandonment, requeues
-// expired ones, advances the simulated clock, and wakes exactly the queries
-// whose barrier is now met. It counts a driver as running before releasing
-// its semaphore; the semaphore keeps a release that lands before the wait.
+// driver thread owns the Query record AdmitQuery returned for it, which is
+// the crowd::LatencyModel of the query's plain crowd::CrowdPlatform. The
+// platform hands it every purchase after drawing the judgments (OnPurchase
+// stages one run of `count` microtasks of one pair) and every batch of
+// round boundaries (OnRounds parks the driver on the record's semaphore:
+// Barrier). The QueryService thread writes everything else, and only while
+// no driver runs: it waits until the running-driver count reaches zero
+// (quiescence), moves the staged runs into the AssignmentTracker in
+// query-id order, and executes one *global* round: it draws a wave of at
+// most W microtasks, as runs, from the tracker (eta per pair, round-robin
+// across queries), simulates each microtask's pickup/work latency and
+// abandonment, requeues expired ones, advances the simulated clock, and
+// wakes exactly the queries whose barrier is now met. It counts a driver
+// as running before releasing its semaphore; the semaphore keeps a release
+// that lands before the wait.
 //
 // Determinism contract (matches src/exec): the entire simulation is a pure
 // function of (options, seed, the queries' own purchase streams). Worker
@@ -44,6 +47,7 @@
 #include <semaphore>
 #include <vector>
 
+#include "crowd/latency_model.h"
 #include "crowd/types.h"
 #include "exec/thread_pool.h"
 #include "serve/assignment_tracker.h"
@@ -99,21 +103,24 @@ struct QueryServeStats {
 
 class BatchScheduler {
  public:
-  // One admitted query's record and its driver's handle on the scheduler.
-  // Only that driver calls these methods; the record belongs to the driver
-  // while it runs and to the service thread while it is parked or done.
-  class Query {
+  // One admitted query's record, its driver's handle on the scheduler, and
+  // the latency model of the driver's platform. Only that driver calls
+  // these methods; the record belongs to the driver while it runs and to
+  // the service thread while it is parked or done.
+  class Query : public crowd::LatencyModel {
    public:
     // Stages `count` purchased microtasks for pair (i, j) (j = -1 for
     // graded tasks) as one run; the service moves it into the tracker at
     // the next quiescence. Does not block.
-    void PostPurchase(crowd::ItemId i, crowd::ItemId j, int64_t count);
+    void OnPurchase(crowd::ItemId i, crowd::ItemId j, int64_t count) override;
+
+    // The platform closed `n` rounds (NextRound, AccountRounds(n)).
+    void OnRounds(int64_t n) override { Barrier(n); }
 
     // Parks the driver until all of its posted microtasks have been worked
-    // off AND at least `rounds` further global rounds have closed.
-    // `rounds` = 1 for NextRound, n for AccountRounds(n), 0 to drain
-    // pending work without charging a round. Returns immediately when the
-    // condition already holds.
+    // off AND at least `rounds` further global rounds have closed; 0
+    // drains pending work without charging a round. Returns immediately
+    // when the condition already holds.
     void Barrier(int64_t rounds);
 
     // Marks the query finished and hands its record to the service. The

@@ -7,10 +7,10 @@
 #include <thread>
 #include <unordered_map>
 
-#include "persist/format.h"
+#include "crowd/platform.h"
 #include "metrics/ranking_metrics.h"
 #include "metrics/trace_aggregate.h"
-#include "serve/async_platform.h"
+#include "persist/format.h"
 #include "telemetry/export.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -387,8 +387,11 @@ void QueryService::DriverMain(int64_t query_id, BatchScheduler::Query* query,
   const QueryRequest& request = (*requests_)[query_id];
   const int64_t stream =
       request.seed_stream >= 0 ? request.seed_stream : query_id;
-  AsyncPlatform platform(request.dataset,
-                         util::SplitSeed(judgment_seed_, stream), query);
+  crowd::CrowdPlatform platform(request.dataset,
+                                util::SplitSeed(judgment_seed_, stream));
+  // The query buys what it would buy alone; its record stages the
+  // purchases on the shared crowd and parks this thread at round boundaries.
+  platform.SetLatencyModel(query);
   telemetry::TraceRecorder recorder;
   const bool tracing = !options_.trace_dir.empty();
   if (tracing) platform.SetRecorder(&recorder);
@@ -397,7 +400,7 @@ void QueryService::DriverMain(int64_t query_id, BatchScheduler::Query* query,
   const core::TopKResult result = request.algorithm->Run(&platform, request.k);
   // Flush trailing purchases so the query never finishes with microtasks
   // still queued at the crowd.
-  platform.Drain();
+  query->Barrier(0);
 
   QueryOutcome& o = outcomes_[query_id];
   o.items = result.items;

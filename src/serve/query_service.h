@@ -4,9 +4,10 @@
 // serving layer answers *many* (ROADMAP north star: heavy traffic). A
 // replay takes an open-loop arrival trace (serve/arrival.h) and a request
 // per arrival (algorithm x dataset x k); each admitted query runs the
-// unmodified synchronous algorithm on its own driver thread against an
-// AsyncPlatform, while the shared BatchScheduler multiplexes everyone's
-// microtasks onto W crowd worker slots per round. Admission is FIFO with a
+// unmodified synchronous algorithm on its own driver thread against a plain
+// crowd::CrowdPlatform whose latency model is the query's
+// BatchScheduler::Query record, while the shared BatchScheduler multiplexes
+// everyone's microtasks onto W crowd worker slots per round. Admission is FIFO with a
 // bounded in-flight window (max_inflight) and an optional queue bound
 // (max_queue; overflow arrivals are rejected with kResourceExhausted), so
 // queueing delay — time from arrival to admission — is part of the measured

@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 #include "util/check.h"
 #include "util/file_io.h"
+#include "util/table.h"
 
 namespace crowdtopk::serve {
-namespace {
-
-std::string Line(const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  return buffer;
-}
-
-// Unbounded variant for the JSONL records, whose lines outgrow Line()'s
-// fixed buffer (the summary alone is ~700 bytes).
-void AppendFormat(std::string* out, const char* format, ...) {
-  va_list args;
-  va_start(args, format);
-  va_list copy;
-  va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, format, copy);
-  va_end(copy);
-  CROWDTOPK_CHECK_GE(needed, 0);
-  std::string line(static_cast<size_t>(needed), '\0');
-  std::vsnprintf(line.data(), static_cast<size_t>(needed) + 1, format, args);
-  va_end(args);
-  out->append(line);
-}
-
-}  // namespace
 
 double PercentileNearestRank(std::vector<double> values, double pct) {
   if (values.empty()) return 0.0;
@@ -98,39 +69,36 @@ ServeReport BuildServeReport(const std::vector<QueryOutcome>& outcomes,
 
 std::string RenderServeReport(const ServeReport& r) {
   std::string out;
-  out += Line("queries            %lld (completed %lld, failed %lld, "
-              "rejected %lld)\n",
-              static_cast<long long>(r.queries),
-              static_cast<long long>(r.completed),
-              static_cast<long long>(r.failed),
-              static_cast<long long>(r.rejected));
-  out += Line("makespan           %.3f s (%lld global rounds)\n",
-              r.makespan_seconds, static_cast<long long>(r.total_rounds));
-  out += Line("throughput         %.4f completed queries/h\n",
-              r.throughput_per_hour);
-  out += Line("latency rounds     p50 %.1f  p95 %.1f  p99 %.1f\n",
-              r.p50_rounds, r.p95_rounds, r.p99_rounds);
-  out += Line("latency seconds    p50 %.3f  p95 %.3f  p99 %.3f\n",
-              r.p50_seconds, r.p95_seconds, r.p99_seconds);
-  out += Line("queue wait         mean %.3f s\n", r.mean_queue_wait_seconds);
-  out += Line("microtasks         %lld purchased\n",
-              static_cast<long long>(r.total_microtasks));
-  out += Line("assignments        %lld scheduled, %lld completed, "
-              "%lld expired, %lld requeued, %lld failed\n",
-              static_cast<long long>(r.assignments.scheduled),
-              static_cast<long long>(r.assignments.completed),
-              static_cast<long long>(r.assignments.expired),
-              static_cast<long long>(r.assignments.requeued),
-              static_cast<long long>(r.assignments.failed));
-  out += Line("mean precision@k   %.4f (completed queries)\n",
-              r.mean_precision);
+  util::AppendFormat(
+      &out,
+      "queries            %lld (completed %lld, failed %lld, rejected %lld)\n"
+      "makespan           %.3f s (%lld global rounds)\n"
+      "throughput         %.4f completed queries/h\n"
+      "latency rounds     p50 %.1f  p95 %.1f  p99 %.1f\n"
+      "latency seconds    p50 %.3f  p95 %.3f  p99 %.3f\n"
+      "queue wait         mean %.3f s\n"
+      "microtasks         %lld purchased\n"
+      "assignments        %lld scheduled, %lld completed, %lld expired, "
+      "%lld requeued, %lld failed\n"
+      "mean precision@k   %.4f (completed queries)\n",
+      static_cast<long long>(r.queries), static_cast<long long>(r.completed),
+      static_cast<long long>(r.failed), static_cast<long long>(r.rejected),
+      r.makespan_seconds, static_cast<long long>(r.total_rounds),
+      r.throughput_per_hour, r.p50_rounds, r.p95_rounds, r.p99_rounds,
+      r.p50_seconds, r.p95_seconds, r.p99_seconds, r.mean_queue_wait_seconds,
+      static_cast<long long>(r.total_microtasks),
+      static_cast<long long>(r.assignments.scheduled),
+      static_cast<long long>(r.assignments.completed),
+      static_cast<long long>(r.assignments.expired),
+      static_cast<long long>(r.assignments.requeued),
+      static_cast<long long>(r.assignments.failed), r.mean_precision);
   return out;
 }
 
 std::string RenderServeReportJsonl(const ServeReport& r,
                                    const std::vector<QueryOutcome>& outcomes) {
   std::string out;
-  AppendFormat(
+  util::AppendFormat(
       &out,
       "{\"record\":\"summary\",\"queries\":%lld,\"completed\":%lld,"
       "\"failed\":%lld,\"rejected\":%lld,\"makespan_seconds\":%.6f,"
@@ -159,7 +127,7 @@ std::string RenderServeReportJsonl(const ServeReport& r,
       items += std::to_string(o.items[i]);
     }
     items += "]";
-    AppendFormat(
+    util::AppendFormat(
         &out,
         "{\"record\":\"query\",\"query_id\":%lld,\"algorithm\":\"%s\","
         "\"status\":\"%s\",\"arrival_seconds\":%.6f,\"start_seconds\":%.6f,"
@@ -196,17 +164,15 @@ std::string RenderQueryTable(const std::vector<QueryOutcome>& outcomes) {
       "query,algo,status,arrival_s,start_s,finish_s,latency_s,"
       "rounds_observed,rounds_private,tmc,requeued,precision\n";
   for (const QueryOutcome& o : outcomes) {
-    out += Line("%lld,%s,%s,%.3f,%.3f,%.3f,%.3f,%lld,%lld,%lld,%lld,%.4f\n",
-                static_cast<long long>(o.query_id), o.algorithm.c_str(),
-                o.rejected ? "REJECTED"
-                           : (o.status.ok() ? "OK" : "FAILED"),
-                o.arrival_seconds, o.start_seconds, o.finish_seconds,
-                o.latency_seconds,
-                static_cast<long long>(o.rounds_observed),
-                static_cast<long long>(o.rounds_private),
-                static_cast<long long>(o.total_microtasks),
-                static_cast<long long>(o.requeued_assignments),
-                o.precision_at_k);
+    util::AppendFormat(
+        &out, "%lld,%s,%s,%.3f,%.3f,%.3f,%.3f,%lld,%lld,%lld,%lld,%.4f\n",
+        static_cast<long long>(o.query_id), o.algorithm.c_str(),
+        o.rejected ? "REJECTED" : (o.status.ok() ? "OK" : "FAILED"),
+        o.arrival_seconds, o.start_seconds, o.finish_seconds,
+        o.latency_seconds, static_cast<long long>(o.rounds_observed),
+        static_cast<long long>(o.rounds_private),
+        static_cast<long long>(o.total_microtasks),
+        static_cast<long long>(o.requeued_assignments), o.precision_at_k);
   }
   return out;
 }

@@ -1,20 +1,11 @@
 #include "shard/report.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+
+#include "util/table.h"
 
 namespace crowdtopk::shard {
 namespace {
-
-std::string Line(const char* format, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  return buffer;
-}
 
 std::vector<const RoutedOutcome*> SortedByGlobalId(
     const std::vector<RoutedOutcome>& outcomes) {
@@ -39,16 +30,16 @@ std::string RenderMergedTable(const std::vector<RoutedOutcome>& outcomes) {
       if (i > 0) items += ';';
       items += std::to_string(o->result.items[i]);
     }
-    out += Line("%lld,%s,%s,%lld,%s,%lld,%lld,%lld,%lld,%.4f,%s\n",
-                static_cast<long long>(o->query.global_id),
-                o->query.dataset.c_str(), o->query.algo.c_str(),
-                static_cast<long long>(o->query.k),
-                util::StatusCodeName(o->result.status.code()),
-                static_cast<long long>(o->result.total_microtasks),
-                static_cast<long long>(o->result.rounds_private),
-                static_cast<long long>(o->result.expired_assignments),
-                static_cast<long long>(o->result.requeued_assignments),
-                o->result.precision_at_k, items.c_str());
+    util::AppendFormat(
+        &out, "%lld,%s,%s,%lld,%s,%lld,%lld,%lld,%lld,%.4f,%s\n",
+        static_cast<long long>(o->query.global_id), o->query.dataset.c_str(),
+        o->query.algo.c_str(), static_cast<long long>(o->query.k),
+        util::StatusCodeName(o->result.status.code()),
+        static_cast<long long>(o->result.total_microtasks),
+        static_cast<long long>(o->result.rounds_private),
+        static_cast<long long>(o->result.expired_assignments),
+        static_cast<long long>(o->result.requeued_assignments),
+        o->result.precision_at_k, items.c_str());
   }
   return out;
 }
@@ -57,10 +48,12 @@ std::string RenderMergedReport(const ShardRouter& router,
                                const std::vector<RoutedOutcome>& outcomes) {
   const RouterCounters& c = router.counters();
   std::string out;
-  out += Line("# crowdtopk shard router: shards=%lld healthy=%lld\n",
-              static_cast<long long>(router.num_shards()),
-              static_cast<long long>(router.healthy_shards()));
-  out += Line(
+  util::AppendFormat(&out,
+                     "# crowdtopk shard router: shards=%lld healthy=%lld\n",
+                     static_cast<long long>(router.num_shards()),
+                     static_cast<long long>(router.healthy_shards()));
+  util::AppendFormat(
+      &out,
       "# counters: routed=%lld waves=%lld shard_batches=%lld "
       "shard_failures=%lld redispatched=%lld repurchased_microtasks=%lld "
       "exhausted=%lld cache_sync_rounds=%lld cache_entries_gossiped=%lld\n",
@@ -75,12 +68,12 @@ std::string RenderMergedReport(const ShardRouter& router,
       static_cast<long long>(c.cache_entries_gossiped));
   for (int64_t s = 0; s < router.num_shards(); ++s) {
     const ShardBackend& backend = router.backend(s);
-    out += Line("# shard %lld: %s batches=%lld queries=%lld microtasks=%lld\n",
-                static_cast<long long>(s),
-                backend.dead() ? "dead" : "healthy",
-                static_cast<long long>(backend.batches_run()),
-                static_cast<long long>(backend.queries_run()),
-                static_cast<long long>(backend.microtasks()));
+    util::AppendFormat(
+        &out, "# shard %lld: %s batches=%lld queries=%lld microtasks=%lld\n",
+        static_cast<long long>(s), backend.dead() ? "dead" : "healthy",
+        static_cast<long long>(backend.batches_run()),
+        static_cast<long long>(backend.queries_run()),
+        static_cast<long long>(backend.microtasks()));
   }
   out += RenderMergedTable(outcomes);
   return out;

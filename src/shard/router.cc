@@ -72,20 +72,24 @@ std::vector<RoutedOutcome> ShardRouter::RouteBatch(
     }
     pending.clear();
 
-    // Execute the non-empty sub-batches concurrently, one thread per
-    // shard; results land in fixed slots, so no synchronization beyond
-    // the joins is needed.
+    // Execute the non-empty sub-batches concurrently: the last one on this
+    // thread, each other one on a thread of its own, so a wave with one
+    // busy shard starts no thread. Results land in fixed slots, so no
+    // synchronization beyond the joins is needed.
     std::vector<std::optional<util::StatusOr<ShardBatchResult>>> results(
         static_cast<size_t>(shards));
+    const auto run = [this, &sub, &results](int64_t s) {
+      results[static_cast<size_t>(s)].emplace(
+          backends_[static_cast<size_t>(s)]->RunBatch(
+              sub[static_cast<size_t>(s)]));
+    };
+    int64_t last = shards - 1;  // the last busy shard, or -1
+    while (last >= 0 && sub[static_cast<size_t>(last)].empty()) --last;
     std::vector<std::thread> threads;
-    for (int64_t s = 0; s < shards; ++s) {
-      if (sub[static_cast<size_t>(s)].empty()) continue;
-      threads.emplace_back([this, s, &sub, &results] {
-        results[static_cast<size_t>(s)].emplace(
-            backends_[static_cast<size_t>(s)]->RunBatch(
-                sub[static_cast<size_t>(s)]));
-      });
+    for (int64_t s = 0; s < last; ++s) {
+      if (!sub[static_cast<size_t>(s)].empty()) threads.emplace_back(run, s);
     }
+    if (last >= 0) run(last);
     for (std::thread& t : threads) t.join();
 
     // Aggregate in ascending shard-id order — the canonical reduction

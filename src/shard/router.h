@@ -3,9 +3,10 @@
 // Routing: every query hashes to a preference list of shards
 // (shard/hash.h); the router dispatches it to the first *healthy* entry.
 // Each routing wave groups the pending queries by target shard, executes
-// the per-shard sub-batches concurrently (one thread per shard), and
-// aggregates in ascending shard-id order — so the merged outcome is
-// independent of thread interleaving.
+// the per-shard sub-batches concurrently (the last busy shard's on the
+// calling thread, each other's on a thread of its own), and aggregates in
+// ascending shard-id order — so the merged outcome is independent of
+// thread interleaving.
 //
 // Failover: a shard whose RunBatch fails is dead for the rest of the run;
 // its whole sub-batch is re-dispatched down each query's preference list

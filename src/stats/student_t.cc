@@ -53,21 +53,35 @@ double StudentTCritical(double alpha, double df) {
   return StudentTQuantile(1.0 - 0.5 * alpha, df);
 }
 
-double TCritical(double alpha, int64_t df) {
-  constexpr int64_t kMaxMemoDf = int64_t{1} << 20;  // 8 MiB per table
-  constexpr size_t kMaxTables = 64;  // alpha comes from clients
-  // Alpha's bits -> StudentTCritical by df, NaN = not yet computed. Never
-  // destroyed, so a thread still running at exit can use it.
-  static std::mutex& mu = *new std::mutex;
-  static auto& memo = *new std::unordered_map<uint64_t, std::vector<double>>;
+namespace {
 
+// Alpha's bits -> StudentTCritical by df - 1, NaN = not yet computed.
+struct TMemo {
+  std::mutex mu;
+  std::unordered_map<uint64_t, std::vector<double>> tables;
+  size_t values = 0;  // summed over the tables
+};
+
+// Never destroyed, so a thread still running at exit can use it.
+TMemo& Memo() {
+  static TMemo& memo = *new TMemo;
+  return memo;
+}
+
+}  // namespace
+
+double TCritical(double alpha, int64_t df) {
+  constexpr int64_t kMaxMemoDf = int64_t{1} << 20;
+  constexpr size_t kMaxValues = size_t{1} << 20;  // one full table: 8 MiB
+  constexpr size_t kMaxTables = 64;  // alpha comes from clients
   CROWDTOPK_CHECK(alpha > 0.0 && alpha < 1.0);
   CROWDTOPK_CHECK_GE(df, 1);
   if (df > kMaxMemoDf) return NormalQuantile(1.0 - 0.5 * alpha);
   const uint64_t key = std::bit_cast<uint64_t>(alpha);
-  const size_t index = static_cast<size_t>(df);
-  std::unique_lock<std::mutex> lock(mu);
-  if (const auto it = memo.find(key); it != memo.end() &&
+  const size_t index = static_cast<size_t>(df - 1);
+  TMemo& memo = Memo();
+  std::unique_lock<std::mutex> lock(memo.mu);
+  if (const auto it = memo.tables.find(key); it != memo.tables.end() &&
       index < it->second.size() && !std::isnan(it->second[index])) {
     return it->second[index];
   }
@@ -76,13 +90,26 @@ double TCritical(double alpha, int64_t df) {
   lock.unlock();
   const double t = StudentTCritical(alpha, static_cast<double>(df));
   lock.lock();
-  if (memo.size() == kMaxTables && !memo.contains(key)) memo.clear();
-  std::vector<double>& table = memo[key];
-  if (index >= table.size()) {
-    table.resize(index + 1, std::numeric_limits<double>::quiet_NaN());
+  std::vector<double>* table = &memo.tables[key];
+  if (index >= table->size()) {
+    // Growing past either bound empties the memo first.
+    if (memo.values + (index + 1 - table->size()) > kMaxValues ||
+        memo.tables.size() > kMaxTables) {
+      memo.tables.clear();
+      memo.values = 0;
+      table = &memo.tables[key];
+    }
+    memo.values += index + 1 - table->size();
+    table->resize(index + 1, std::numeric_limits<double>::quiet_NaN());
   }
-  table[index] = t;
+  (*table)[index] = t;
   return t;
+}
+
+size_t TCriticalMemoValuesForTesting() {
+  TMemo& memo = Memo();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  return memo.values;
 }
 
 }  // namespace crowdtopk::stats

@@ -7,6 +7,7 @@
 #ifndef CROWDTOPK_STATS_STUDENT_T_H_
 #define CROWDTOPK_STATS_STUDENT_T_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace crowdtopk::stats {
@@ -28,9 +29,13 @@ double StudentTCritical(double alpha, double df);
 
 // StudentTCritical(alpha, df) for integer df >= 1, bit for bit, memoised
 // once per process; any thread may call it, and misses compute outside its
-// lock. Above df = 2^20 it returns z_{alpha/2} and stores nothing. At most 64
-// alphas are held (clients choose alpha): a 65th empties the memo.
+// lock. Above df = 2^20 it returns z_{alpha/2} and stores nothing. Clients
+// choose alpha and the budget, so the memo holds at most 64 alphas and 2^20
+// values (8 MiB) in all: a miss that would pass either bound empties it.
 double TCritical(double alpha, int64_t df);
+
+// Values the TCritical memo holds now, summed over its alphas.
+size_t TCriticalMemoValuesForTesting();
 
 }  // namespace crowdtopk::stats
 

@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 
 #include "util/check.h"
@@ -73,6 +74,20 @@ std::string FormatDouble(double value, int digits) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
   return buffer;
+}
+
+void AppendFormat(std::string* out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list copy;
+  va_copy(copy, args);
+  const int needed = std::vsnprintf(nullptr, 0, format, copy);
+  va_end(copy);
+  CROWDTOPK_CHECK_GE(needed, 0);
+  std::string line(static_cast<size_t>(needed), '\0');
+  std::vsnprintf(line.data(), static_cast<size_t>(needed) + 1, format, args);
+  va_end(args);
+  out->append(line);
 }
 
 }  // namespace crowdtopk::util

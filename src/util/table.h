@@ -1,4 +1,5 @@
-// Console table / CSV emission used by the benchmark harnesses.
+// Console table / CSV emission used by the benchmark harnesses, and the one
+// printf-style append that the rendered reports share.
 //
 // The harnesses print paper-style tables (aligned columns on stdout) and can
 // additionally dump CSV for plotting. TablePrinter collects rows as strings
@@ -41,6 +42,10 @@ class TablePrinter {
 // Formats a double with `digits` significant decimal places, trimming wide
 // scientific noise (used for table cells).
 std::string FormatDouble(double value, int digits = 1);
+
+// Appends printf-style `format` to *out, however long the result.
+void AppendFormat(std::string* out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
 
 }  // namespace crowdtopk::util
 

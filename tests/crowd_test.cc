@@ -1,6 +1,7 @@
 // Tests for the crowd substrate: oracle defaults and platform accounting.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "crowd/latency_model.h"
@@ -159,8 +160,8 @@ SimulatorOptions DeterministicSim(int64_t workers) {
 
 TEST(SimulatorTest, DeterministicRoundDuration) {
   WallClockSimulator simulator(DeterministicSim(4), 1);
-  simulator.OnPurchase(12);  // 12 tasks, 4 workers, 10 s each
-  simulator.OnRoundBoundary();
+  simulator.OnPurchase(0, 1, 12);  // 12 tasks, 4 workers, 10 s each
+  simulator.OnRounds(1);
   EXPECT_DOUBLE_EQ(simulator.now_seconds(), 30.0);  // 3 sequential slots
   EXPECT_DOUBLE_EQ(simulator.total_cost_usd(), 0.012);
   EXPECT_EQ(simulator.total_microtasks(), 12);
@@ -168,15 +169,15 @@ TEST(SimulatorTest, DeterministicRoundDuration) {
 
 TEST(SimulatorTest, PartialLastWaveStillTakesAFullTask) {
   WallClockSimulator simulator(DeterministicSim(4), 1);
-  simulator.OnPurchase(13);  // ceil(13/4) = 4 waves
-  simulator.OnRoundBoundary();
+  simulator.OnPurchase(0, 1, 13);  // ceil(13/4) = 4 waves
+  simulator.OnRounds(1);
   EXPECT_DOUBLE_EQ(simulator.now_seconds(), 40.0);
 }
 
 TEST(SimulatorTest, EmptyRoundIsFree) {
   WallClockSimulator simulator(DeterministicSim(2), 1);
-  simulator.OnRoundBoundary();
-  simulator.OnRoundBoundary();
+  simulator.OnRounds(1);
+  simulator.OnRounds(1);
   EXPECT_DOUBLE_EQ(simulator.now_seconds(), 0.0);
 }
 
@@ -184,8 +185,8 @@ TEST(SimulatorTest, MoreWorkersFasterRounds) {
   WallClockSimulator slow(DeterministicSim(2), 1);
   WallClockSimulator fast(DeterministicSim(20), 1);
   for (auto* simulator : {&slow, &fast}) {
-    simulator->OnPurchase(100);
-    simulator->OnRoundBoundary();
+    simulator->OnPurchase(0, 1, 100);
+    simulator->OnRounds(1);
   }
   EXPECT_GT(slow.now_seconds(), 5.0 * fast.now_seconds());
 }
@@ -194,8 +195,9 @@ TEST(SimulatorTest, StochasticDurationsHaveRequestedMean) {
   SimulatorOptions options = DeterministicSim(1);
   options.task_time_sigma = 0.5;  // lognormal, mean still 10 s
   WallClockSimulator simulator(options, 7);
-  simulator.OnPurchase(20000);  // single worker: total = sum of durations
-  simulator.OnRoundBoundary();
+  // A single worker: the total is the sum of the durations.
+  simulator.OnPurchase(0, 1, 20000);
+  simulator.OnRounds(1);
   EXPECT_NEAR(simulator.now_seconds() / 20000.0, 10.0, 0.3);
 }
 
@@ -216,30 +218,46 @@ TEST(SimulatorTest, PlatformIntegrationCountsEverything) {
   EXPECT_DOUBLE_EQ(simulator.now_seconds(), 60.0);  // one 10 s wave + empty
 }
 
-// A latency model that just counts callbacks, for accounting tests.
+// A latency model that logs its callbacks, for accounting tests. Each entry
+// also records the totals the recorder had already seen at the call.
 class CountingModel : public LatencyModel {
  public:
-  void OnPurchase(int64_t count) override { purchased_ += count; }
-  void OnRoundBoundary() override { ++boundaries_; }
-  int64_t purchased() const { return purchased_; }
+  explicit CountingModel(const telemetry::TraceRecorder* recorder)
+      : recorder_(recorder) {}
+  void OnPurchase(ItemId i, ItemId j, int64_t count) override {
+    Log("buy " + std::to_string(i) + " " + std::to_string(j) + " " +
+        std::to_string(count));
+  }
+  void OnRounds(int64_t n) override {
+    boundaries_ += n;
+    Log("rounds " + std::to_string(n));
+  }
   int64_t boundaries() const { return boundaries_; }
+  const std::vector<std::string>& calls() const { return calls_; }
 
  private:
-  int64_t purchased_ = 0;
+  void Log(const std::string& call) {
+    calls_.push_back(call + " after " +
+                     std::to_string(recorder_->total_microtasks()) + "/" +
+                     std::to_string(recorder_->total_rounds()));
+  }
+
+  const telemetry::TraceRecorder* recorder_;
   int64_t boundaries_ = 0;
+  std::vector<std::string> calls_;
 };
 
 TEST(PlatformAccountingTest, AccountRoundsEmitsOneBoundaryPerRound) {
   FixedOracle oracle(4);
-  CountingModel model;
   telemetry::TraceRecorder recorder;
+  CountingModel model(&recorder);
   CrowdPlatform platform(&oracle, 11);
   platform.SetLatencyModel(&model);
   platform.SetRecorder(&recorder);
 
   platform.AccountRounds(5);
   // Batched accounting must be indistinguishable from 5 NextRound calls to
-  // both observers: 5 boundary callbacks, 5 recorded rounds.
+  // both observers: 5 rounds to the model, 5 recorded rounds.
   EXPECT_EQ(platform.rounds(), 5);
   EXPECT_EQ(model.boundaries(), 5);
   EXPECT_EQ(recorder.total_rounds(), 5);
@@ -254,6 +272,36 @@ TEST(PlatformAccountingTest, AccountRoundsEmitsOneBoundaryPerRound) {
   EXPECT_EQ(platform.rounds(), 6);
   EXPECT_EQ(model.boundaries(), 6);
   EXPECT_EQ(recorder.total_rounds(), 6);
+}
+
+// The model hears each purchase's (i, j, count) and each round batch's n,
+// once, after the recorder; empty purchases and AccountRounds(0) reach
+// neither. A served query parks in these calls, so a batch of n rounds
+// must park it once.
+TEST(PlatformAccountingTest, ModelSeesEachPurchaseAndRoundBatchAfterRecorder) {
+  FixedOracle oracle(6);
+  telemetry::TraceRecorder recorder;
+  CountingModel model(&recorder);
+  CrowdPlatform platform(&oracle, 5);
+  platform.SetLatencyModel(&model);
+  platform.SetRecorder(&recorder);
+
+  std::vector<double> out;
+  platform.CollectPreferences(0, 1, 9, &out);
+  platform.CollectBinaryVotes(3, 2, 4, &out);
+  platform.CollectGrades(5, 6, &out);
+  platform.CollectPreferences(1, 4, 0, &out);
+  platform.NextRound();
+  platform.AccountRounds(0);
+  platform.AccountRounds(3);
+  EXPECT_EQ(model.calls(), (std::vector<std::string>{
+                               "buy 0 1 9 after 9/0",
+                               "buy 3 2 4 after 13/0",
+                               "buy 5 -1 6 after 19/0",
+                               "rounds 1 after 19/1",
+                               "rounds 3 after 19/4",
+                           }));
+  EXPECT_EQ(out.size(), 19u);
 }
 
 TEST(PlatformAccountingTest, ResetCountersDoesNotDesyncRecorder) {

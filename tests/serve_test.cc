@@ -1,9 +1,9 @@
 // Tests for the multi-query serving layer (src/serve): sync-algorithm
-// equivalence through the AsyncPlatform bridge, scheduler fairness under
-// saturation, straggler requeueing and bounded-retry failure, run-length
-// wave selection against a task-at-a-time reference, admission overflow,
-// bit-identity of the serve report across worker counts, and a service
-// replayed more than once.
+// equivalence with a query's scheduler record as its platform's latency
+// model, scheduler fairness under saturation, straggler requeueing and
+// bounded-retry failure, run-length wave selection against a
+// task-at-a-time reference, admission overflow, bit-identity of the serve
+// report across worker counts, and a service replayed more than once.
 
 #include <algorithm>
 #include <array>
@@ -28,7 +28,6 @@
 #include "persist/format.h"
 #include "serve/arrival.h"
 #include "serve/assignment_tracker.h"
-#include "serve/async_platform.h"
 #include "serve/batch_scheduler.h"
 #include "serve/query_service.h"
 #include "serve/report.h"
@@ -90,11 +89,12 @@ ScheduleOptions ReliableCrowd() {
   return options;
 }
 
-// The core serving invariant: a query served through AsyncPlatform buys the
-// exact answer, TMC, and private round count it would buy on a private
-// CrowdPlatform with the same seed — sharing the crowd never changes what
-// a query pays, only when its work gets scheduled.
-TEST(AsyncPlatformTest, ServedQueryMatchesPrivateRun) {
+// The core serving invariant: a query served through its scheduler record,
+// attached as the platform's latency model, buys the exact answer, TMC,
+// and private round count it would buy on a private CrowdPlatform with the
+// same seed — sharing the crowd never changes what a query pays, only when
+// its work gets scheduled.
+TEST(SchedulerTest, ServedQueryMatchesPrivateRun) {
   const auto dataset = data::MakeUniformLadder(20, 1.0, 0.6);
   judgment::ComparisonOptions comparison;
   baselines::HeapSortTopK algorithm(comparison);
@@ -108,9 +108,10 @@ TEST(AsyncPlatformTest, ServedQueryMatchesPrivateRun) {
   int64_t served_microtasks = 0;
   int64_t served_rounds = 0;
   std::thread driver([&] {
-    AsyncPlatform platform(dataset.get(), /*seed=*/123, query);
+    crowd::CrowdPlatform platform(dataset.get(), /*seed=*/123);
+    platform.SetLatencyModel(query);
     served = algorithm.Run(&platform, 5);
-    platform.Drain();
+    query->Barrier(0);
     served_microtasks = platform.total_microtasks();
     served_rounds = platform.rounds();
     query->Finish();
@@ -134,7 +135,7 @@ TEST(SchedulerTest, QueriesFinishingTogetherReturnInIdOrder) {
   std::vector<std::thread> drivers;
   for (BatchScheduler::Query* query : queries) {
     drivers.emplace_back([query] {
-      query->PostPurchase(0, 1, /*count=*/3);
+      query->OnPurchase(0, 1, /*count=*/3);
       query->Barrier(1);
       query->Finish();
     });

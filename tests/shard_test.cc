@@ -4,7 +4,8 @@
 // merged pure-column table, bounded failover re-dispatch, the cache-sync
 // alpha gate and replace semantics, agreement between a 1-shard router and
 // a plain serve::QueryService fed the same stamped seed streams, a
-// long-lived local shard against a fresh service per batch, and the router
+// long-lived local shard against a fresh service per batch, the threads the
+// scatter runs shards on, the merged table's long rows, and the router
 // engine's bounded memory of finished queries and algorithm instances.
 
 #include <algorithm>
@@ -178,6 +179,24 @@ TEST(ShardRouterTest, MergedTableIdenticalAcrossJobs) {
   const std::string a = RenderMergedTable(narrow.RouteBatch(workload.Trace(8)));
   const std::string b = RenderMergedTable(wide.RouteBatch(workload.Trace(8)));
   EXPECT_EQ(a, b) << "per-shard jobs count leaked into the merged table";
+}
+
+// A row lists every item and ends its line however long it gets: 300
+// five-digit items make a row of about 1,800 bytes.
+TEST(ShardRouterTest, MergedTableRowsAreNeverCut) {
+  RoutedOutcome outcome;
+  outcome.query.global_id = 7;
+  outcome.query.dataset = "imdb";
+  outcome.query.algo = "spr";
+  outcome.query.k = 300;
+  std::string items;
+  for (crowd::ItemId i = 10000; i < 10300; ++i) {
+    outcome.result.items.push_back(i);
+    items += (items.empty() ? "" : ";") + std::to_string(i);
+  }
+  const std::string table = RenderMergedTable({outcome});
+  EXPECT_EQ(table.substr(table.find('\n') + 1),
+            "7,imdb,spr,300,OK,0,0,0,0,0.0000," + items + "\n");
 }
 
 // ----- failover ------------------------------------------------------------
@@ -499,6 +518,119 @@ TEST(ShardRouterTest, SingleShardMatchesPlainQueryService) {
     EXPECT_EQ(r.expired_assignments, d.expired_assignments) << "query " << i;
     EXPECT_EQ(r.requeued_assignments, d.requeued_assignments) << "query " << i;
   }
+}
+
+// ----- scatter threads -----------------------------------------------------
+
+// A shard that records the thread RunBatch ran on and answers every query
+// with an empty OK result. Each call counts itself into `entered`, then
+// waits, for at most 10 s, until `peers` calls have entered.
+class ThreadRecordingBackend : public ShardBackend {
+ public:
+  ThreadRecordingBackend(std::atomic<int>* entered, int peers)
+      : entered_(entered), peers_(peers) {}
+
+  util::StatusOr<ShardBatchResult> RunBatch(
+      const std::vector<RoutedQuery>& batch) override {
+    thread_ = std::this_thread::get_id();
+    entered_->fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (entered_->load() < peers_ &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    met_peers_ = entered_->load() >= peers_;
+    ShardBatchResult result;
+    result.results.resize(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      result.results[i].global_id = batch[i].global_id;
+    }
+    return result;
+  }
+  bool dead() const override { return false; }
+  bool SupportsCacheSync() const override { return false; }
+  std::vector<cache::ExportedEntry> ExportCache() const override {
+    return {};
+  }
+  void SetWarmCache(std::vector<cache::ExportedEntry>) override {}
+  int64_t batches_run() const override { return 0; }
+  int64_t queries_run() const override { return 0; }
+  int64_t microtasks() const override { return 0; }
+
+  std::thread::id thread() const { return thread_; }
+  bool met_peers() const { return met_peers_; }
+
+ private:
+  std::atomic<int>* entered_;
+  const int peers_;
+  std::thread::id thread_;
+  bool met_peers_ = false;
+};
+
+// A router over `shards` recording backends that each wait for `peers`.
+ShardRouter RecordingRouter(int64_t shards, std::atomic<int>* entered,
+                            int peers) {
+  std::vector<std::unique_ptr<ShardBackend>> backends;
+  for (int64_t s = 0; s < shards; ++s) {
+    backends.push_back(
+        std::make_unique<ThreadRecordingBackend>(entered, peers));
+  }
+  return ShardRouter(RouterOptions(), std::move(backends));
+}
+
+const ThreadRecordingBackend& Recorded(const ShardRouter& router,
+                                       int64_t shard) {
+  return static_cast<const ThreadRecordingBackend&>(router.backend(shard));
+}
+
+RoutedQuery Placed(int64_t global_id, int64_t universe) {
+  RoutedQuery query;
+  query.global_id = global_id;
+  query.dataset = "ladder";
+  query.algo = "heapsort";
+  query.universe = universe;
+  return query;
+}
+
+// A wave with one busy shard runs it on the routing thread and starts no
+// thread: at K = 1, and at K = 4 with every query placed on one shard.
+TEST(ShardRouterTest, LoneBusyShardRunsOnTheCallingThread) {
+  for (const int64_t shards : {1, 4}) {
+    std::atomic<int> entered{0};
+    ShardRouter router = RecordingRouter(shards, &entered, 1);
+    const std::vector<RoutedOutcome> outcomes =
+        router.RouteBatch({Placed(0, 0), Placed(1, 0), Placed(2, 0)});
+    const int64_t target =
+        RankShards(PlacementKey{0, "ladder", "heapsort"}, shards).front();
+    EXPECT_EQ(Recorded(router, target).thread(), std::this_thread::get_id())
+        << "shards=" << shards;
+    EXPECT_EQ(entered.load(), 1);
+    for (const RoutedOutcome& o : outcomes) EXPECT_EQ(o.shard_id, target);
+  }
+}
+
+// Two busy shards still run at once: each call waits for the other to
+// enter RunBatch. The last busy shard runs on the routing thread, the
+// other on a thread of its own.
+TEST(ShardRouterTest, TwoBusyShardsStillOverlap) {
+  std::atomic<int> entered{0};
+  ShardRouter router = RecordingRouter(2, &entered, 2);
+  const int64_t first =
+      RankShards(PlacementKey{0, "ladder", "heapsort"}, 2).front();
+  int64_t universe = 1;
+  while (RankShards(PlacementKey{universe, "ladder", "heapsort"}, 2)
+             .front() == first) {
+    ++universe;
+  }
+  const std::vector<RoutedOutcome> outcomes =
+      router.RouteBatch({Placed(0, 0), Placed(1, universe)});
+  EXPECT_NE(outcomes[0].shard_id, outcomes[1].shard_id);
+  for (int64_t s = 0; s < 2; ++s) {
+    EXPECT_TRUE(Recorded(router, s).met_peers()) << "shard " << s;
+  }
+  EXPECT_NE(Recorded(router, 0).thread(), std::this_thread::get_id());
+  EXPECT_EQ(Recorded(router, 1).thread(), std::this_thread::get_id());
 }
 
 // ----- router engine --------------------------------------------------------

@@ -245,6 +245,20 @@ TEST(TCriticalTest, SeventyAlphasStayExactPastTheTableBound) {
   }
 }
 
+// One lookup at df 2^20 fills a table of 2^20 values. Three alphas looked up
+// there must not keep three such tables (24 MiB) resident: the memo holds at
+// most 2^20 values, and the values stay exact.
+TEST(TCriticalTest, MemoHoldsAtMostTwoToTheTwentyValues) {
+  constexpr int64_t kDf = int64_t{1} << 20;
+  for (const double alpha : {0.0211, 0.0433, 0.0877}) {
+    EXPECT_EQ(Bits(TCritical(alpha, kDf)),
+              Bits(StudentTCritical(alpha, static_cast<double>(kDf))));
+    EXPECT_LE(TCriticalMemoValuesForTesting(), size_t{1} << 20);
+  }
+  EXPECT_EQ(Bits(TCritical(0.0211, 30)), Bits(StudentTCritical(0.0211, 30.0)));
+  EXPECT_LE(TCriticalMemoValuesForTesting(), size_t{1} << 20);
+}
+
 // ------------------------------------------------------------ Binomial
 
 TEST(BinomialTest, PmfSumsToOne) {

@@ -16,8 +16,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -27,9 +25,11 @@
 
 #include "net/client.h"
 #include "serve/arrival.h"
+#include "serve/report.h"
 #include "util/env.h"
 #include "util/file_io.h"
 #include "util/status.h"
+#include "util/table.h"
 
 namespace {
 
@@ -69,24 +69,6 @@ Exit codes: 0 all queries reached a terminal outcome, 1 transport failure,
 2 bad argument or knob (unknown argument, missing CROWDTOPK_NET_PORT,
 nothing to do, CROWDTOPK_LOADGEN_RATE <= 0).
 )";
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf);
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size());
-  int64_t idx = static_cast<int64_t>(std::ceil(rank)) - 1;
-  idx = std::max<int64_t>(0, std::min<int64_t>(idx, values.size() - 1));
-  return values[idx];
-}
 
 struct QueryRecord {
   bool transport_error = false;
@@ -194,20 +176,20 @@ int main(int argc, char** argv) {
 
   // ----- deterministic report (simulated metrics only) -------------------
   std::string report;
-  Appendf(&report,
-          "crowdtopk_loadgen: %lld queries (%s) on %s, k=%lld, alpha=%g, "
-          "budget=%lld, lambda=%g/s, seed=%llu, workers=%lld\n",
-          static_cast<long long>(queries),
-          util::GetEnvString("CROWDTOPK_LOADGEN_ALGOS",
-                             "spr,tourtree,heapsort,quickselect")
-              .c_str(),
-          dataset.c_str(), static_cast<long long>(k), alpha,
-          static_cast<long long>(budget), rate,
-          static_cast<unsigned long long>(seed),
-          static_cast<long long>(workers));
-  Appendf(&report,
-          "q,query_id,algo,arrival_s,status,rounds,microtasks,latency_s,"
-          "queue_wait_s,precision,shard_id\n");
+  util::AppendFormat(
+      &report,
+      "crowdtopk_loadgen: %lld queries (%s) on %s, k=%lld, alpha=%g, "
+      "budget=%lld, lambda=%g/s, seed=%llu, workers=%lld\n",
+      static_cast<long long>(queries),
+      util::GetEnvString("CROWDTOPK_LOADGEN_ALGOS",
+                         "spr,tourtree,heapsort,quickselect")
+          .c_str(),
+      dataset.c_str(), static_cast<long long>(k), alpha,
+      static_cast<long long>(budget), rate,
+      static_cast<unsigned long long>(seed), static_cast<long long>(workers));
+  report +=
+      "q,query_id,algo,arrival_s,status,rounds,microtasks,latency_s,"
+      "queue_wait_s,precision,shard_id\n";
 
   int64_t ok_count = 0;
   int64_t rejected = 0;
@@ -221,11 +203,11 @@ int main(int argc, char** argv) {
     const QueryRecord& r = records[q];
     if (r.transport_error) {
       ++transport_errors;
-      Appendf(&report, "%lld,%lld,%s,%.6f,transport:%s,,,,,,\n",
-              static_cast<long long>(q),
-              static_cast<long long>(r.query_id),
-              algos[q % algos.size()].c_str(), arrivals[q],
-              util::StatusCodeName(r.status.code()));
+      util::AppendFormat(&report, "%lld,%lld,%s,%.6f,transport:%s,,,,,,\n",
+                         static_cast<long long>(q),
+                         static_cast<long long>(r.query_id),
+                         algos[q % algos.size()].c_str(), arrivals[q],
+                         util::StatusCodeName(r.status.code()));
       continue;
     }
     const net::Result& res = r.result;
@@ -241,31 +223,37 @@ int main(int argc, char** argv) {
     } else {
       ++rejected;
     }
-    Appendf(&report, "%lld,%lld,%s,%.6f,%s,%lld,%lld,%.6f,%.6f,%.4f,%lld\n",
-            static_cast<long long>(q), static_cast<long long>(r.query_id),
-            algos[q % algos.size()].c_str(), arrivals[q],
-            ok ? "ok"
-               : util::StatusCodeName(
-                     static_cast<util::StatusCode>(res.status_code)),
-            static_cast<long long>(res.rounds),
-            static_cast<long long>(res.total_microtasks),
-            res.latency_seconds, res.queue_wait_seconds,
-            res.precision_at_k, static_cast<long long>(res.shard_id));
+    util::AppendFormat(
+        &report, "%lld,%lld,%s,%.6f,%s,%lld,%lld,%.6f,%.6f,%.4f,%lld\n",
+        static_cast<long long>(q), static_cast<long long>(r.query_id),
+        algos[q % algos.size()].c_str(), arrivals[q],
+        ok ? "ok"
+           : util::StatusCodeName(
+                 static_cast<util::StatusCode>(res.status_code)),
+        static_cast<long long>(res.rounds),
+        static_cast<long long>(res.total_microtasks), res.latency_seconds,
+        res.queue_wait_seconds, res.precision_at_k,
+        static_cast<long long>(res.shard_id));
   }
-  Appendf(&report,
-          "summary: ok=%lld rejected=%lld transport_errors=%lld "
-          "total_microtasks=%lld total_rounds=%lld mean_precision=%.4f\n",
-          static_cast<long long>(ok_count), static_cast<long long>(rejected),
-          static_cast<long long>(transport_errors),
-          static_cast<long long>(total_microtasks),
-          static_cast<long long>(total_rounds),
-          ok_count > 0 ? precision_sum / static_cast<double>(ok_count) : 0.0);
-  Appendf(&report,
-          "latency_s: p50=%.6f p95=%.6f p99=%.6f | queue_wait_s: p50=%.6f "
-          "p95=%.6f p99=%.6f\n",
-          Percentile(latencies, 50), Percentile(latencies, 95),
-          Percentile(latencies, 99), Percentile(queue_waits, 50),
-          Percentile(queue_waits, 95), Percentile(queue_waits, 99));
+  util::AppendFormat(
+      &report,
+      "summary: ok=%lld rejected=%lld transport_errors=%lld "
+      "total_microtasks=%lld total_rounds=%lld mean_precision=%.4f\n",
+      static_cast<long long>(ok_count), static_cast<long long>(rejected),
+      static_cast<long long>(transport_errors),
+      static_cast<long long>(total_microtasks),
+      static_cast<long long>(total_rounds),
+      ok_count > 0 ? precision_sum / static_cast<double>(ok_count) : 0.0);
+  util::AppendFormat(
+      &report,
+      "latency_s: p50=%.6f p95=%.6f p99=%.6f | queue_wait_s: p50=%.6f "
+      "p95=%.6f p99=%.6f\n",
+      serve::PercentileNearestRank(latencies, 50),
+      serve::PercentileNearestRank(latencies, 95),
+      serve::PercentileNearestRank(latencies, 99),
+      serve::PercentileNearestRank(queue_waits, 50),
+      serve::PercentileNearestRank(queue_waits, 95),
+      serve::PercentileNearestRank(queue_waits, 99));
 
   std::fputs(report.c_str(), stdout);
   const std::string report_path =
